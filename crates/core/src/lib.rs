@@ -46,7 +46,7 @@ pub use morph_gpu_sim::{MetricsHub, MetricsRegistry, MetricsSnapshot};
 // autotuner without depending on morph-tune directly.
 pub use morph_tune::{AutoTuner, ConflictPolicy, Controller, TuneConfig, TuneDecision, TuneInput};
 pub use runtime::{
-    drive, drive_recovering, DriveError, DriveOutcome, HostAction, OracleGate, RecoveryOpts,
+    drive_recovering, DriveError, DriveOutcome, HostAction, OracleGate, RecoveryOpts,
     RecoveryPolicy, RescueLevel, StepCtx, StepReport,
 };
 #[cfg(feature = "morph-check")]

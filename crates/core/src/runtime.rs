@@ -11,23 +11,21 @@
 //!     transfer refined graph            // GPU → CPU
 //! ```
 //!
-//! [`drive`] runs that loop: launch, let the host callback inspect device
-//! state (the `changed` flag, allocator overflow, …) and perform
-//! reallocation, apply the adaptive-parallelism schedule, repeat.
-//!
-//! [`drive_recovering`] is the fault-tolerant version: launches go through
-//! [`morph_gpu_sim::VirtualGpu::try_launch`], failed launches are retried a
-//! bounded number of times, allocator overflow triggers capacity growth
-//! without losing the iteration, and a livelock watchdog escalates through
-//! a rescue ladder (priority reshuffle → serial fallback → structured
-//! error) when the algorithm stops making forward progress — the paper's
-//! §7.3 observation that 2-phase conflict resolution can livelock, turned
-//! into a runtime safety net.
+//! [`drive_recovering`] runs that loop: launch, let the step callback
+//! inspect device state (the `changed` flag, allocator overflow, …) and
+//! perform reallocation, apply the adaptive-parallelism schedule, repeat.
+//! Launches go through [`morph_gpu_sim::VirtualGpu::try_launch`]: failed
+//! launches are retried a bounded number of times, allocator overflow
+//! triggers capacity growth without losing the iteration, and a livelock
+//! watchdog escalates through a rescue ladder (priority reshuffle → serial
+//! fallback → structured error) when the algorithm stops making forward
+//! progress — the paper's §7.3 observation that 2-phase conflict
+//! resolution can livelock, turned into a runtime safety net.
 
 use crate::adaptive::AdaptiveParallelism;
 use crate::checkpoint::CheckpointCtl;
 use morph_gpu_sim::{
-    CancelToken, FaultPlan, Kernel, LaunchError, LaunchStats, LensHub, MetricsHub, VirtualGpu,
+    CancelToken, FaultPlan, LaunchError, LaunchStats, LensHub, MetricsHub, Observers, VirtualGpu,
 };
 use morph_trace::{ProfilerScope, RecoveryKind, TraceEvent, Tracer};
 use morph_tune::{AutoTuner, ConflictPolicy, Controller, TuneDecision, TuneInput};
@@ -45,43 +43,11 @@ pub enum HostAction {
     /// Device pools overflowed: grow to (at least) the given capacity and
     /// re-run the *same* iteration. The capacity is advisory — the step
     /// callback performs the actual reallocation on its next invocation
-    /// (via [`StepCtx::regrow_to`]). Only meaningful under
-    /// [`drive_recovering`]; plain [`drive`] treats it as `Continue`.
+    /// (via [`StepCtx::regrow_to`]).
     Regrow(usize),
     /// Re-run the same iteration (e.g. the host rolled back a partial
-    /// result). Counts against [`RecoveryPolicy::max_retries`]. Only
-    /// meaningful under [`drive_recovering`].
+    /// result). Counts against [`RecoveryPolicy::max_retries`].
     Retry,
-}
-
-/// Run the do–while host loop of Figure 3.
-///
-/// After each launch, `host(iteration, &stats_of_that_launch)` inspects
-/// device state (e.g. a `changed` flag the kernel raised) and may grow
-/// buffers before returning [`HostAction::Continue`]. If `adaptive` is
-/// given, the threads-per-block geometry follows its schedule (§7.4).
-/// Returns the accumulated statistics over all launches.
-pub fn drive<K: Kernel + ?Sized>(
-    gpu: &mut VirtualGpu,
-    kernel: &K,
-    adaptive: Option<AdaptiveParallelism>,
-    mut host: impl FnMut(u64, &LaunchStats) -> HostAction,
-) -> LaunchStats {
-    let mut total = LaunchStats::default();
-    let blocks = gpu.config().blocks;
-    let mut iteration = 0u64;
-    loop {
-        if let Some(sched) = adaptive {
-            gpu.set_geometry(blocks, sched.tpb_for_iteration(iteration));
-        }
-        let stats = gpu.launch(kernel);
-        total.absorb(&stats);
-        total.iterations = iteration + 1;
-        if host(iteration, &stats) == HostAction::Stop {
-            return total;
-        }
-        iteration += 1;
-    }
 }
 
 /// Bounds on the recovery machinery of [`drive_recovering`].
@@ -114,8 +80,11 @@ impl Default for RecoveryPolicy {
 }
 
 /// Per-run recovery configuration a pipeline entry point accepts: the
-/// retry/regrow/livelock budgets plus the optional fault-injection plan
-/// and barrier watchdog to arm on the [`VirtualGpu`] it builds.
+/// retry/regrow/livelock budgets plus what [`RecoveryOpts::arm`] attaches
+/// to the [`VirtualGpu`] the pipeline builds — the fault-injection plan,
+/// the barrier watchdog and the observers. Each observer field lands in
+/// the like-named field of [`Observers`], which documents what the engine
+/// does with it; every default is the detached handle and costs nothing.
 #[derive(Clone, Default)]
 pub struct RecoveryOpts {
     pub policy: RecoveryPolicy,
@@ -124,71 +93,61 @@ pub struct RecoveryOpts {
     /// Barrier watchdog timeout; stalled launches surface as
     /// [`morph_gpu_sim::LaunchError::BarrierStall`] and are retried.
     pub barrier_watchdog: Option<Duration>,
-    /// Tracer to attach to the GPU the pipeline builds. Launch spans are
-    /// emitted by the engine; [`drive_recovering`] emits one `Recovery`
-    /// event per retry/regrow/rescue decision through the same handle.
-    /// Defaults to [`Tracer::disabled`] (no events, no overhead).
+    /// Launch spans are emitted by the engine; [`drive_recovering`] emits
+    /// one `Recovery` event per retry/regrow/rescue decision and one
+    /// `Tune` event per decision change through the same handle.
     pub tracer: Tracer,
-    /// Metrics hub to attach to the GPU the pipeline builds. When enabled
-    /// the engine arms its hardware cost model (coalescing, bank
-    /// conflicts, atomic serialization, occupancy) and publishes per-warp
-    /// distributions plus launch totals into the hub's registry. Defaults
-    /// to [`MetricsHub::disabled`] (no tape, no metering).
+    /// The engine's cost-model series land here, and so do
+    /// [`drive_recovering`]'s `morph_tune_*` series.
     pub metrics: MetricsHub,
     /// Cooperative cancellation token. [`drive_recovering`] checks it at
     /// every host-action boundary (before each launch attempt) and unwinds
     /// with [`DriveError::Cancelled`] when raised — the owner of the other
     /// handle (a job scheduler, a signal handler) gets the device back with
-    /// quiescent buffers. Cloning `RecoveryOpts` shares the token. The
-    /// default token is never cancelled.
+    /// quiescent buffers. Cloning `RecoveryOpts` shares the token.
     pub cancel: CancelToken,
     /// Checkpoint control for this run. `None` (the default) means the
-    /// pipeline never builds a snapshot payload — checkpointing follows
-    /// the same zero-cost-when-disabled contract as tracing and metrics.
+    /// pipeline never builds a snapshot payload.
     pub checkpoint: Option<CheckpointCtl>,
-    /// Progress heartbeat shared with an external watchdog. Armed on the
-    /// GPU (each completed launch beats) and bumped by
-    /// [`drive_recovering`] at every host-action boundary, so a watcher
-    /// that sees it stand still knows the job is wedged, not merely busy.
+    /// Progress heartbeat shared with an external watchdog: each completed
+    /// launch beats, and so does [`drive_recovering`] at every host-action
+    /// boundary.
     pub heartbeat: Option<Arc<AtomicU64>>,
-    /// Phase-profiler scope to attach to the GPU the pipeline builds. The
-    /// engine attributes each phase span's modelled cycles into the shared
-    /// [`morph_trace::PhaseProfiler`]; [`drive_recovering`] advances the
-    /// scope's host-iteration base each loop so samples land in the right
-    /// iteration class even across launches that restart their own
-    /// iteration count. Works with a disabled tracer — the profiler alone
-    /// arms the engine's counter tape.
+    /// Phase-profiler scope. [`drive_recovering`] advances its
+    /// host-iteration base each loop, so samples land in the right
+    /// iteration class although every launch is iteration 0 to the engine.
     pub profiler: Option<ProfilerScope>,
-    /// Autotuner handle (`morph-tune`). The default detached handle keeps
-    /// the paper's fixed §7.4 schedules and costs nothing; an enabled
-    /// handle makes [`drive_recovering`] build one [`Controller`] per run
-    /// and follow its per-iteration [`TuneDecision`]s (geometry, conflict
-    /// policy, compaction/reordering requests) instead.
+    /// Autotuner handle (`morph-tune`). Detached, the paper's fixed §7.4
+    /// schedules apply; enabled, [`drive_recovering`] builds one
+    /// [`Controller`] per run and follows its per-iteration
+    /// [`TuneDecision`]s (geometry, conflict policy, compaction/reordering
+    /// requests) instead.
     pub tuner: AutoTuner,
-    /// morph-lens attribution hub. An enabled hub makes pipelines
-    /// register their device structures' logical address windows on it
-    /// and the engine bucket every metered access per phase × structure
-    /// (the `lens` trace events, `morph_lens_*` metric families and the
-    /// `/lens` snapshot). The default [`LensHub::disabled`] handle keeps
-    /// all attribution off.
+    /// morph-lens attribution hub. When enabled, pipelines register their
+    /// device structures' logical address windows on it.
     pub lens: LensHub,
 }
 
 impl RecoveryOpts {
-    /// Arm the fault plan, watchdog, tracer, metrics hub and cancellation
-    /// token on a freshly built GPU.
+    /// Arm a freshly built GPU with everything these options carry for
+    /// it: the fault plan, the barrier watchdog and every observer
+    /// (tracer, metrics hub, profiler scope, tuner, lens hub, heartbeat,
+    /// cancellation token). The checkpoint control stays with the
+    /// pipeline.
     pub fn arm(&self, gpu: &mut VirtualGpu) {
         if let Some(plan) = &self.fault_plan {
             gpu.set_fault_plan(Arc::clone(plan));
         }
         gpu.set_barrier_watchdog(self.barrier_watchdog);
-        gpu.set_tracer(self.tracer.clone());
-        gpu.set_metrics(self.metrics.clone());
-        gpu.set_cancel_token(self.cancel.clone());
-        gpu.set_heartbeat(self.heartbeat.clone());
-        gpu.set_profiler(self.profiler.clone());
-        gpu.set_tuner(self.tuner.clone());
-        gpu.set_lens(self.lens.clone());
+        gpu.set_observers(Observers {
+            tracer: self.tracer.clone(),
+            metrics: self.metrics.clone(),
+            profiler: self.profiler.clone(),
+            tuner: self.tuner.clone(),
+            lens: self.lens.clone(),
+            heartbeat: self.heartbeat.clone(),
+            cancel: self.cancel.clone(),
+        });
     }
 }
 
@@ -238,7 +197,7 @@ pub struct StepCtx {
 pub struct StepReport {
     /// Stats of the launch this step performed.
     pub stats: LaunchStats,
-    /// The host decision, as in plain [`drive`].
+    /// The host decision.
     pub action: HostAction,
     /// Whether the iteration made forward progress (e.g. committed at
     /// least one activity). Feeds the livelock watchdog: `false` for
@@ -319,7 +278,7 @@ pub struct DriveOutcome {
     pub rescues: u32,
 }
 
-/// The fault-tolerant host loop: [`drive`] plus bounded retry, overflow
+/// The host loop of Figure 3, fault-tolerant: bounded retry, overflow
 /// regrow, and a livelock watchdog.
 ///
 /// The `step` callback runs one launch attempt end-to-end: perform any
@@ -356,7 +315,7 @@ pub fn drive_recovering(
     mut step: impl FnMut(&mut VirtualGpu, &StepCtx) -> Result<StepReport, LaunchError>,
 ) -> Result<DriveOutcome, DriveError> {
     let mut out = DriveOutcome::default();
-    let tracer = gpu.tracer().clone();
+    let tracer = gpu.observers().tracer.clone();
     let blocks = gpu.config().blocks;
     let normal_tpb = gpu.config().threads_per_block;
     let mut iteration = 0u64;
@@ -369,7 +328,7 @@ pub fn drive_recovering(
     // adaptive schedule's band (or pinned to the configured geometry when
     // no schedule is given). Detached tuner ⇒ everything below is None
     // and the fixed schedules run untouched.
-    let mut tuner: Option<Controller> = gpu.tuner().config().map(|cfg| {
+    let mut tuner: Option<Controller> = gpu.observers().tuner.config().map(|cfg| {
         let (initial, max) = match adaptive {
             Some(a) => (a.initial_tpb, a.max_tpb),
             None => (normal_tpb, normal_tpb),
@@ -378,13 +337,13 @@ pub fn drive_recovering(
     });
     let mut decision: Option<TuneDecision> = tuner.as_ref().map(Controller::initial_decision);
     let tune_decisions = tuner.as_ref().and_then(|_| {
-        gpu.metrics().counter(
+        gpu.observers().metrics.counter(
             "morph_tune_decisions_total",
             "Autotuner decision changes actuated by the recovering driver",
         )
     });
     let tune_tpb = tuner.as_ref().and_then(|_| {
-        gpu.metrics().gauge(
+        gpu.observers().metrics.gauge(
             "morph_tune_tpb",
             "Threads per block the autotuner chose for the next iteration",
         )
@@ -394,17 +353,17 @@ pub fn drive_recovering(
         // Host-action boundary: the loop is provably alive here, so an
         // attached watchdog heartbeat advances even when individual
         // launches are slow.
-        gpu.beat();
+        gpu.observers().beat();
         // Keep the profiler's iteration attribution aligned with the host
         // loop: each launch restarts its own iteration counter, so the
         // scope carries the base the engine's samples are offset from.
-        if let Some(p) = gpu.profiler() {
+        if let Some(p) = &gpu.observers().profiler {
             p.set_host_iteration(iteration);
         }
         // A raised cancellation token wins over everything else. No
         // launch is in flight here, so device buffers are quiescent and
         // the caller gets the GPU back immediately.
-        if gpu.cancel_token().is_cancelled() {
+        if gpu.observers().cancel.is_cancelled() {
             // A cancellation landing while a regrow is pending would
             // otherwise leave the trace claiming a grown buffer that
             // never materialised, attributed to the overflowed launch's
@@ -717,7 +676,7 @@ pub fn report_oracle(tracer: &Tracer, check: &str, result: Result<(), String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morph_gpu_sim::{FaultPlan, GpuConfig, ThreadCtx};
+    use morph_gpu_sim::{FaultPlan, GpuConfig, Kernel, ThreadCtx};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -741,72 +700,6 @@ mod tests {
                 false
             }
         }
-    }
-
-    #[test]
-    fn drive_loops_until_host_stops() {
-        let mut gpu = VirtualGpu::new(GpuConfig::small());
-        let k = ToyKernel {
-            sum: AtomicU64::new(0),
-            changed: AtomicBool::new(false),
-            threshold: 55,
-        };
-        let total = drive(&mut gpu, &k, None, |_iter, _stats| {
-            if k.changed.swap(false, Ordering::AcqRel) {
-                HostAction::Continue
-            } else {
-                HostAction::Stop
-            }
-        });
-        // 10,20,30,40,50 set changed; 60 does not → 6 iterations.
-        assert_eq!(total.iterations, 6);
-        assert_eq!(k.sum.load(Ordering::Acquire), 60);
-    }
-
-    #[test]
-    fn drive_applies_adaptive_geometry() {
-        let mut gpu = VirtualGpu::new(GpuConfig::small());
-        let k = ToyKernel {
-            sum: AtomicU64::new(0),
-            changed: AtomicBool::new(false),
-            threshold: 0,
-        };
-        let mut seen_tpb = Vec::new();
-        let sched = AdaptiveParallelism {
-            initial_tpb: 2,
-            growth_iters: 2,
-            max_tpb: 64,
-        };
-        drive(&mut gpu, &k, Some(sched), |iter, stats| {
-            // Each launch reports the geometry it actually ran with.
-            seen_tpb.push(stats.threads_per_block);
-            if iter < 3 {
-                HostAction::Continue
-            } else {
-                HostAction::Stop
-            }
-        });
-        assert_eq!(seen_tpb, vec![2, 4, 8, 8]);
-    }
-
-    #[test]
-    fn stats_accumulate_across_launches() {
-        let mut gpu = VirtualGpu::new(GpuConfig::small());
-        let k = ToyKernel {
-            sum: AtomicU64::new(0),
-            changed: AtomicBool::new(false),
-            threshold: u64::MAX,
-        };
-        let total = drive(&mut gpu, &k, None, |iter, s| {
-            assert_eq!(s.iterations, 1);
-            if iter < 4 {
-                HostAction::Continue
-            } else {
-                HostAction::Stop
-            }
-        });
-        assert_eq!(total.iterations, 5);
-        assert_eq!(total.atomics, 5); // one counted atomic per launch
     }
 
     #[test]
@@ -836,9 +729,13 @@ mod tests {
             },
         )
         .expect("no faults");
+        // 10,20,30,40,50 set changed; 60 does not → 6 iterations.
         assert_eq!(out.iterations, 6);
         assert_eq!(out.retries, 0);
         assert_eq!(k.sum.load(Ordering::Acquire), 60);
+        // Stats accumulate across launches: one counted atomic each.
+        assert_eq!(out.stats.iterations, 6);
+        assert_eq!(out.stats.atomics, 6);
     }
 
     #[test]
@@ -1180,7 +1077,10 @@ mod tests {
 
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let sink = Arc::new(RingSink::new(256));
-        gpu.set_tracer(Tracer::new(sink.clone()));
+        gpu.set_observers(Observers {
+            tracer: Tracer::new(sink.clone()),
+            ..Observers::default()
+        });
         let k = ToyKernel {
             sum: AtomicU64::new(0),
             changed: AtomicBool::new(false),
@@ -1260,7 +1160,10 @@ mod tests {
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let token = CancelToken::new();
         token.cancel();
-        gpu.set_cancel_token(token);
+        gpu.set_observers(Observers {
+            cancel: token,
+            ..Observers::default()
+        });
         let k = ToyKernel {
             sum: AtomicU64::new(0),
             changed: AtomicBool::new(false),
@@ -1290,10 +1193,13 @@ mod tests {
 
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let sink = Arc::new(RingSink::new(64));
-        gpu.set_tracer(Tracer::new(sink.clone()));
         let token = CancelToken::new();
         token.cancel();
-        gpu.set_cancel_token(token);
+        gpu.set_observers(Observers {
+            tracer: Tracer::new(sink.clone()),
+            cancel: token,
+            ..Observers::default()
+        });
         let k = ToyKernel {
             sum: AtomicU64::new(0),
             changed: AtomicBool::new(false),
@@ -1391,7 +1297,10 @@ mod tests {
     fn cancellation_under_serial_rescue_restores_geometry() {
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let token = CancelToken::new();
-        gpu.set_cancel_token(token.clone());
+        gpu.set_observers(Observers {
+            cancel: token.clone(),
+            ..Observers::default()
+        });
         let k = ToyKernel {
             sum: AtomicU64::new(0),
             changed: AtomicBool::new(false),

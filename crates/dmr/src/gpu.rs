@@ -369,13 +369,13 @@ pub fn try_refine_gpu<C: Coord>(
     // Name the device structures for per-structure attribution. Extents
     // track capacity, so a regrow re-registers below.
     let register_lens = |gpu: &VirtualGpu, mesh: &Mesh<C>, conflict: &ConflictTable| {
-        if !gpu.lens().is_enabled() {
+        if !gpu.observers().lens.is_enabled() {
             return;
         }
         for (name, base, len) in mesh.lens_regions() {
-            gpu.lens().register(name, base, len);
+            gpu.observers().lens.register(name, base, len);
         }
-        gpu.lens().register("dmr.conflict", CONFLICT_DEV_BASE, conflict.len() * 4);
+        gpu.observers().lens.register("dmr.conflict", CONFLICT_DEV_BASE, conflict.len() * 4);
     };
     register_lens(&gpu, mesh, &conflict);
     let state: BlockLocal<BlockState<C>> = BlockLocal::new(blocks, |_| BlockState::new());
@@ -437,16 +437,16 @@ pub fn try_refine_gpu<C: Coord>(
         // Algorithm-level markers (the paper's "bad triangles remaining"
         // curve) plus the triangle-pool high-water mark. The mesh scan is
         // metering-only work, so it is gated on an attached sink.
-        if gpu.tracer().enabled() {
+        if gpu.observers().tracer.enabled() {
             let bad = mesh.bad_triangles().len();
             let iteration = ctx.iteration;
-            gpu.tracer().emit(|| TraceEvent::AlgoIteration {
+            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
                 algo: "dmr".into(),
                 iteration,
                 metric: "bad_triangles".into(),
                 value: bad as f64,
             });
-            gpu.tracer().emit(|| TraceEvent::Alloc {
+            gpu.observers().tracer.emit(|| TraceEvent::Alloc {
                 name: "dmr.tri_pool".into(),
                 used: mesh.alloc.len() as u64,
                 capacity: mesh.alloc.capacity() as u64,
@@ -468,14 +468,14 @@ pub fn try_refine_gpu<C: Coord>(
         #[cfg(feature = "morph-check")]
         if oracle.due(ctx, &action) {
             let done = action == HostAction::Stop;
-            morph_core::report_oracle(gpu.tracer(), "oracle.dmr.end_state", mesh.validate(done));
+            morph_core::report_oracle(&gpu.observers().tracer, "oracle.dmr.end_state", mesh.validate(done));
         }
         // Iteration boundary: all device arrays are quiescent. Snapshot
         // if due (the payload closure never runs without an attached
         // store).
         if let Some(ck) = &recovery.checkpoint {
             if action != HostAction::Stop && ck.due(ctx.iteration) {
-                ck.save(gpu.tracer(), "dmr", ctx.iteration, || {
+                ck.save(&gpu.observers().tracer, "dmr", ctx.iteration, || {
                     encode_dmr_checkpoint(mesh, &stats, iterations_base + ctx.iteration + 1)
                 });
             }

@@ -17,9 +17,9 @@
 //! worker runs its warps strictly sequentially, so the tape is never
 //! aliased across warps.
 //!
-//! The tape exists only when a tracer or metrics registry is attached
-//! to the launch — the zero-cost-when-disabled contract of DESIGN.md §8
-//! — so unobserved runs never touch it.
+//! The tape exists only on a launch some attached observer meters
+//! ([`crate::engine::Observers::needs_tape`], DESIGN.md §8), so
+//! unobserved runs never touch it.
 
 use std::cell::RefCell;
 

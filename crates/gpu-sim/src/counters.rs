@@ -37,8 +37,8 @@ pub struct WorkerCounters {
     /// Global-memory accesses metered by the hardware cost model (plain
     /// loads/stores through [`crate::ThreadCtx::global_load`]/
     /// [`crate::ThreadCtx::global_store`] plus counted atomics). Zero
-    /// when no tracer or metrics registry is attached — metering follows
-    /// the same zero-cost-when-disabled contract as tracing.
+    /// on a launch no observer meters
+    /// ([`crate::engine::Observers::needs_tape`]).
     pub gmem_accesses: u64,
     /// 32-byte segment transactions those accesses coalesced into, per
     /// warp per phase. `gmem_accesses / gmem_transactions` is the
@@ -61,20 +61,7 @@ pub struct WorkerCounters {
 
 impl WorkerCounters {
     pub(crate) fn merge_into(&self, out: &mut LaunchStats) {
-        out.active_threads += self.active_threads;
-        out.idle_threads += self.idle_threads;
-        out.warps += self.warps;
-        out.divergent_warps += self.divergent_warps;
-        out.atomics += self.atomics;
-        out.aborts += self.aborts;
-        out.commits += self.commits;
-        out.barriers += self.barriers;
-        out.gmem_accesses += self.gmem_accesses;
-        out.gmem_transactions += self.gmem_transactions;
-        out.smem_accesses += self.smem_accesses;
-        out.smem_conflicts += self.smem_conflicts;
-        out.atomic_serial += self.atomic_serial;
-        out.active_warps += self.active_warps;
+        out.add_counters(&self.snapshot());
     }
 
     /// Plain-data copy for trace events (see [`morph_trace::TraceEvent`]).
@@ -137,11 +124,12 @@ impl std::fmt::Display for WorkerCounters {
     }
 }
 
-/// Aggregated statistics for one launch (or one persistent execution).
+/// Aggregated statistics for one launch (or, via
+/// [`absorb`](LaunchStats::absorb), a host loop of them).
 #[derive(Default, Debug, Clone)]
 pub struct LaunchStats {
-    /// Kernel iterations executed (1 for [`crate::VirtualGpu::launch`],
-    /// the loop trip count for [`crate::VirtualGpu::execute`]).
+    /// Kernel iterations executed: 1 per [`crate::VirtualGpu::launch`],
+    /// summed by [`absorb`](Self::absorb).
     pub iterations: u64,
     /// Phases executed in total (`iterations × kernel.phases()`).
     pub phases: u64,
@@ -154,8 +142,8 @@ pub struct LaunchStats {
     pub commits: u64,
     pub barriers: u64,
     /// Cost-model counters (see [`WorkerCounters`] for semantics). Zero
-    /// unless the launch ran with a tracer or metrics registry attached,
-    /// except `active_warps`, which is always metered.
+    /// unless an attached observer metered the launch, except
+    /// `active_warps`, which is always counted.
     pub gmem_accesses: u64,
     pub gmem_transactions: u64,
     pub smem_accesses: u64,
@@ -247,20 +235,7 @@ impl LaunchStats {
     pub fn absorb(&mut self, other: &LaunchStats) {
         self.iterations += other.iterations;
         self.phases += other.phases;
-        self.active_threads += other.active_threads;
-        self.idle_threads += other.idle_threads;
-        self.warps += other.warps;
-        self.divergent_warps += other.divergent_warps;
-        self.atomics += other.atomics;
-        self.aborts += other.aborts;
-        self.commits += other.commits;
-        self.barriers += other.barriers;
-        self.gmem_accesses += other.gmem_accesses;
-        self.gmem_transactions += other.gmem_transactions;
-        self.smem_accesses += other.smem_accesses;
-        self.smem_conflicts += other.smem_conflicts;
-        self.atomic_serial += other.atomic_serial;
-        self.active_warps += other.active_warps;
+        self.add_counters(&other.snapshot());
         self.barrier_rmws += other.barrier_rmws;
         // Geometry is a configuration, not a quantity: keep the most
         // recent launch's values so callers see what last ran.
@@ -268,6 +243,25 @@ impl LaunchStats {
         self.threads_per_block = other.threads_per_block;
         self.wall += other.wall;
         self.retry_wall += other.retry_wall;
+    }
+
+    /// Add one counter block: a worker's at launch end, another launch's
+    /// under [`absorb`](Self::absorb).
+    fn add_counters(&mut self, c: &CountersSnapshot) {
+        self.active_threads += c.active_threads;
+        self.idle_threads += c.idle_threads;
+        self.warps += c.warps;
+        self.divergent_warps += c.divergent_warps;
+        self.atomics += c.atomics;
+        self.aborts += c.aborts;
+        self.commits += c.commits;
+        self.barriers += c.barriers;
+        self.gmem_accesses += c.gmem_accesses;
+        self.gmem_transactions += c.gmem_transactions;
+        self.smem_accesses += c.smem_accesses;
+        self.smem_conflicts += c.smem_conflicts;
+        self.atomic_serial += c.atomic_serial;
+        self.active_warps += c.active_warps;
     }
 
     /// Plain-data copy of the counter fields for trace events.

@@ -1,9 +1,9 @@
 //! The execution engine.
 //!
-//! [`VirtualGpu::launch`] runs one kernel iteration; [`VirtualGpu::execute`]
-//! runs the kernel persistently — the whole `do { … } while (changed)` loop
-//! of the paper's Figure 3 inside one thread scope, with software global
-//! barriers between phases and iterations instead of kernel relaunches.
+//! [`VirtualGpu::launch`] runs one kernel iteration: every phase once,
+//! with a software global barrier after each. The `do { … } while
+//! (changed)` loop of the paper's Figure 3 is the host's
+//! (`morph_core::runtime::drive_recovering`), one launch per trip.
 //!
 //! Scheduling model: the grid's blocks are dealt round-robin to
 //! `min(num_sms, blocks)` host workers. A worker runs phase `p` of every
@@ -18,20 +18,20 @@
 //! A panicking virtual thread takes its worker down; the worker poisons the
 //! global barrier so its siblings fail fast instead of hanging, and the
 //! engine reports *where* execution died as a structured [`LaunchError`]
-//! from [`VirtualGpu::try_launch`] / [`VirtualGpu::try_execute`] (the
-//! panicking wrappers [`VirtualGpu::launch`] / [`VirtualGpu::execute`]
-//! remain for code that treats kernel failure as fatal). Faults can be
-//! injected deterministically via [`crate::fault::FaultPlan`], and a
+//! from [`VirtualGpu::try_launch`] (the panicking wrapper
+//! [`VirtualGpu::launch`] remains for code that treats kernel failure as
+//! fatal). Faults can be injected deterministically via
+//! [`crate::fault::FaultPlan`], and a
 //! [barrier watchdog](VirtualGpu::set_barrier_watchdog) turns a stalled
 //! worker into a [`LaunchError::BarrierStall`] instead of a hang.
 
 use crate::barrier::{make_barrier, GlobalBarrier, BARRIER_POISON_MSG, BARRIER_TIMEOUT_MSG};
-use crate::config::GpuConfig;
 use crate::cancel::CancelToken;
+use crate::config::GpuConfig;
 use crate::costmodel::{WarpScore, WarpTape};
 use crate::counters::{LaunchStats, WorkerCounters};
 use crate::fault::FaultPlan;
-use crate::kernel::{Decision, Kernel, ThreadCtx};
+use crate::kernel::{Kernel, ThreadCtx};
 use crate::lens::LensHub;
 use morph_metrics::MetricsHub;
 use morph_trace::{CountersSnapshot, ProfilerScope, TraceEvent, Tracer};
@@ -127,106 +127,56 @@ pub type LaunchOutcome = Result<LaunchStats, LaunchError>;
 /// advances; read only after the worker's panic has been caught).
 #[derive(Clone, Copy, Default)]
 struct Progress {
-    iteration: usize,
     phase: usize,
     block: usize,
 }
 
-/// Per-phase counter accumulator, live only while tracing is enabled.
-/// Workers add their phase delta before arriving at the phase barrier;
-/// worker 0 reads the monotone totals after the barrier and emits the
-/// grid-wide delta. A worker cannot re-enter phase `p` until worker 0 has
-/// crossed the *next* barrier, so the post-barrier read is race-free.
-struct PhaseAccum {
-    active_threads: AtomicU64,
-    idle_threads: AtomicU64,
-    warps: AtomicU64,
-    divergent_warps: AtomicU64,
-    atomics: AtomicU64,
-    aborts: AtomicU64,
-    commits: AtomicU64,
-    barriers: AtomicU64,
-    gmem_accesses: AtomicU64,
-    gmem_transactions: AtomicU64,
-    smem_accesses: AtomicU64,
-    smem_conflicts: AtomicU64,
-    atomic_serial: AtomicU64,
-    active_warps: AtomicU64,
-}
+/// Every field of a [`CountersSnapshot`], once. [`PhaseAccum`] is an array
+/// of atomics over this table.
+const COUNTER_FIELDS: [fn(&mut CountersSnapshot) -> &mut u64; 14] = [
+    |c| &mut c.active_threads,
+    |c| &mut c.idle_threads,
+    |c| &mut c.warps,
+    |c| &mut c.divergent_warps,
+    |c| &mut c.atomics,
+    |c| &mut c.aborts,
+    |c| &mut c.commits,
+    |c| &mut c.barriers,
+    |c| &mut c.gmem_accesses,
+    |c| &mut c.gmem_transactions,
+    |c| &mut c.smem_accesses,
+    |c| &mut c.smem_conflicts,
+    |c| &mut c.atomic_serial,
+    |c| &mut c.active_warps,
+];
+
+/// Grid-wide counter accumulator of one phase. Workers add their phase
+/// delta before arriving at the phase barrier; worker 0 reads the totals
+/// after it. Each phase runs once per launch, so the post-barrier read
+/// sees every worker's add and nothing else.
+#[derive(Default)]
+struct PhaseAccum([AtomicU64; COUNTER_FIELDS.len()]);
 
 impl PhaseAccum {
-    fn new() -> Self {
-        PhaseAccum {
-            active_threads: AtomicU64::new(0),
-            idle_threads: AtomicU64::new(0),
-            warps: AtomicU64::new(0),
-            divergent_warps: AtomicU64::new(0),
-            atomics: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            gmem_accesses: AtomicU64::new(0),
-            gmem_transactions: AtomicU64::new(0),
-            smem_accesses: AtomicU64::new(0),
-            smem_conflicts: AtomicU64::new(0),
-            atomic_serial: AtomicU64::new(0),
-            active_warps: AtomicU64::new(0),
+    fn add(&self, delta: &CountersSnapshot) {
+        let mut delta = *delta;
+        for (slot, field) in self.0.iter().zip(COUNTER_FIELDS) {
+            slot.fetch_add(*field(&mut delta), Ordering::Relaxed);
         }
-    }
-
-    fn add(&self, d: &CountersSnapshot) {
-        self.active_threads.fetch_add(d.active_threads, Ordering::Relaxed);
-        self.idle_threads.fetch_add(d.idle_threads, Ordering::Relaxed);
-        self.warps.fetch_add(d.warps, Ordering::Relaxed);
-        self.divergent_warps.fetch_add(d.divergent_warps, Ordering::Relaxed);
-        self.atomics.fetch_add(d.atomics, Ordering::Relaxed);
-        self.aborts.fetch_add(d.aborts, Ordering::Relaxed);
-        self.commits.fetch_add(d.commits, Ordering::Relaxed);
-        self.barriers.fetch_add(d.barriers, Ordering::Relaxed);
-        self.gmem_accesses.fetch_add(d.gmem_accesses, Ordering::Relaxed);
-        self.gmem_transactions.fetch_add(d.gmem_transactions, Ordering::Relaxed);
-        self.smem_accesses.fetch_add(d.smem_accesses, Ordering::Relaxed);
-        self.smem_conflicts.fetch_add(d.smem_conflicts, Ordering::Relaxed);
-        self.atomic_serial.fetch_add(d.atomic_serial, Ordering::Relaxed);
-        self.active_warps.fetch_add(d.active_warps, Ordering::Relaxed);
     }
 
     fn totals(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            active_threads: self.active_threads.load(Ordering::Relaxed),
-            idle_threads: self.idle_threads.load(Ordering::Relaxed),
-            warps: self.warps.load(Ordering::Relaxed),
-            divergent_warps: self.divergent_warps.load(Ordering::Relaxed),
-            atomics: self.atomics.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            gmem_accesses: self.gmem_accesses.load(Ordering::Relaxed),
-            gmem_transactions: self.gmem_transactions.load(Ordering::Relaxed),
-            smem_accesses: self.smem_accesses.load(Ordering::Relaxed),
-            smem_conflicts: self.smem_conflicts.load(Ordering::Relaxed),
-            atomic_serial: self.atomic_serial.load(Ordering::Relaxed),
-            active_warps: self.active_warps.load(Ordering::Relaxed),
+        let mut out = CountersSnapshot::default();
+        for (slot, field) in self.0.iter().zip(COUNTER_FIELDS) {
+            *field(&mut out) = slot.load(Ordering::Relaxed);
         }
+        out
     }
 }
 
-/// Per-launch tracing state, allocated only when a tracer or a phase
-/// profiler is attached (the profiler reuses the same per-phase
-/// accumulators and worker-0 timing; with only a profiler armed the
-/// tracer handle is disabled and every emit stays a single branch).
-struct TraceState {
-    tracer: Tracer,
-    launch: u64,
-    accums: Vec<PhaseAccum>,
-    profiler: Option<ProfilerScope>,
-}
-
-/// Per-launch metrics state: registry handles resolved once per launch,
-/// allocated only when a [`MetricsHub`] is attached. Mirrors the
-/// [`TraceState`] zero-cost contract — the disabled path allocates
-/// nothing and the hot loop never sees a registry lock.
-struct MetricsState {
+/// Registry handles for the engine's cost-model series, resolved once per
+/// launch so the warp loop never sees a registry lock.
+struct WarpMetrics {
     txn_per_warp: Arc<morph_metrics::Histogram>,
     conflicts_per_warp: Arc<morph_metrics::Histogram>,
     serial_per_warp: Arc<morph_metrics::Histogram>,
@@ -237,11 +187,11 @@ struct MetricsState {
     atomic_serial: Arc<morph_metrics::Counter>,
 }
 
-impl MetricsState {
+impl WarpMetrics {
     fn new(hub: &MetricsHub) -> Self {
         let h = |name: &str, help: &str| hub.histogram(name, help).expect("hub is enabled");
         let c = |name: &str, help: &str| hub.counter(name, help).expect("hub is enabled");
-        MetricsState {
+        WarpMetrics {
             txn_per_warp: h(
                 "morph_warp_gmem_transactions",
                 "Global-memory transactions per warp per phase (32-byte segment model)",
@@ -304,34 +254,203 @@ impl MetricsState {
     }
 }
 
+/// Everything that can watch or steer the launches of one [`VirtualGpu`],
+/// attached in one place ([`VirtualGpu::set_observers`]). Every handle
+/// defaults to its detached form, which costs nothing. An attached tracer,
+/// metrics hub, profiler, tuner or lens arms the cost-model tape
+/// ([`Observers::needs_tape`]); the heartbeat and the cancel token never
+/// touch the kernel loop.
+#[derive(Clone, Default)]
+pub struct Observers {
+    /// Receives `LaunchBegin`, one `PhaseSpan` per phase (grid-wide
+    /// counter delta + worker-0 wall time including the barrier wait) and
+    /// `LaunchEnd`. Pipelines emit their algorithm-level events through
+    /// the same handle.
+    pub tracer: Tracer,
+    /// Receives per-warp cost-model distributions (coalescing, bank
+    /// conflicts, atomic serialization) and launch totals.
+    pub metrics: MetricsHub,
+    /// Continuous phase profiler: each phase's modelled cycles and wall
+    /// time land in the scope's `algo;iteration-class;phase` cells — the
+    /// flamegraph source — with or without a tracer. Recovering host loops
+    /// keep the scope's host-iteration base in step with their own count.
+    pub profiler: Option<ProfilerScope>,
+    /// Closed-loop autotuner handle (`morph-tune`). The engine never
+    /// consults the controller — recovering host loops do — but its
+    /// inputs (occupancy, coalescing, divergence) must be measured, not
+    /// guessed, so an enabled tuner arms the tape.
+    pub tuner: AutoTuner,
+    /// morph-lens attribution hub: buckets every metered global access
+    /// per phase × registered structure and exports each launch's delta
+    /// (see [`crate::lens`]). Pipelines register their device structures'
+    /// address windows on it.
+    pub lens: LensHub,
+    /// Progress heartbeat, bumped by every completed launch and by
+    /// recovering host loops at every host-action boundary. A watchdog
+    /// (e.g. `morph-serve`) that sees it stand still knows the job is
+    /// wedged, not merely slow.
+    pub heartbeat: Option<Arc<AtomicU64>>,
+    /// Cancellation token. The engine never aborts a launch mid-kernel;
+    /// host loops consult the token at host-action boundaries and unwind
+    /// with a structured error, so a cancelled job releases the device
+    /// with quiescent buffers.
+    pub cancel: CancelToken,
+}
+
+impl Observers {
+    /// Does anything attached consume what the cost-model tape measures?
+    /// The one place that decides whether a launch is metered.
+    pub fn needs_tape(&self) -> bool {
+        self.tracer.enabled()
+            || self.metrics.enabled()
+            || self.profiler.is_some()
+            || self.tuner.is_enabled()
+            || self.lens.is_enabled()
+    }
+
+    /// Bump the heartbeat, if one is attached.
+    #[inline]
+    pub fn beat(&self) {
+        if let Some(b) = &self.heartbeat {
+            b.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One launch as its observers see it. Exists only when
+/// [`Observers::needs_tape`]; called at launch begin, per scored warp, at
+/// each phase barrier and at launch end or abort.
+struct LaunchObs<'a> {
+    on: &'a Observers,
+    /// This GPU's observed-launch sequence number (the trace's launch id).
+    launch: u64,
+    /// One accumulator per phase; empty unless a tracer or profiler
+    /// consumes phase spans.
+    accums: Vec<PhaseAccum>,
+    warp_metrics: Option<WarpMetrics>,
+}
+
+impl<'a> LaunchObs<'a> {
+    /// Launch begin.
+    fn begin(on: &'a Observers, seq: &AtomicU64, cfg: &GpuConfig, phases: usize) -> Option<Self> {
+        if !on.needs_tape() {
+            return None;
+        }
+        let spanned = if on.tracer.enabled() || on.profiler.is_some() {
+            phases
+        } else {
+            0
+        };
+        let obs = LaunchObs {
+            on,
+            launch: seq.fetch_add(1, Ordering::Relaxed),
+            accums: (0..spanned).map(|_| PhaseAccum::default()).collect(),
+            warp_metrics: on.metrics.enabled().then(|| WarpMetrics::new(&on.metrics)),
+        };
+        on.tracer.emit(|| TraceEvent::LaunchBegin {
+            launch: obs.launch,
+            blocks: cfg.blocks as u64,
+            threads_per_block: cfg.threads_per_block as u64,
+            phases: phases as u64,
+        });
+        Some(obs)
+    }
+
+    /// Warp scored: drain one warp's tape into the worker's cost-model
+    /// counters, the lens cells and the per-warp distributions.
+    fn warp_scored(&self, phase: usize, tape: &WarpTape, warp_size: usize, c: &mut WorkerCounters) {
+        // Attribution must read the tape before scoring: scoring sorts
+        // the atomics in place and drains everything.
+        if self.on.lens.is_enabled() {
+            tape.with_contents(|gmem, atomics| self.on.lens.attribute(phase as u64, gmem, atomics));
+        }
+        let score = tape.score_and_clear(warp_size);
+        c.gmem_accesses += score.gmem_accesses;
+        c.gmem_transactions += score.gmem_transactions;
+        c.smem_accesses += score.smem_accesses;
+        c.smem_conflicts += score.smem_conflicts;
+        c.atomic_serial += score.atomic_serial;
+        if let Some(m) = &self.warp_metrics {
+            m.record_warp(&score);
+        }
+    }
+
+    /// Phase barrier, arriving side (every worker): publish what this
+    /// worker counted since its last published snapshot.
+    fn phase_arrive(&self, phase: usize, c: &WorkerCounters, published: &mut CountersSnapshot) {
+        if let Some(accum) = self.accums.get(phase) {
+            let now = c.snapshot();
+            accum.add(&now.delta_since(published));
+            *published = now;
+        }
+    }
+
+    /// Phase barrier, far side (worker 0 only): cut the phase's span from
+    /// the grid-wide delta and worker 0's wall time, barrier wait included.
+    fn phase_crossed(&self, phase: usize, wall: Duration) {
+        let Some(accum) = self.accums.get(phase) else {
+            return;
+        };
+        let delta = accum.totals();
+        let wall_us = wall.as_micros() as u64;
+        if let Some(p) = &self.on.profiler {
+            p.record(0, phase as u64, wall_us, &delta);
+        }
+        self.on.tracer.emit(|| TraceEvent::PhaseSpan {
+            launch: self.launch,
+            iteration: 0,
+            phase: phase as u64,
+            wall_us,
+            delta,
+        });
+    }
+
+    /// Launch end (`completed` carries the stats) or abort (`None`): close
+    /// the span either way. A dead attempt's counters are discarded (see
+    /// [`VirtualGpu::try_launch`]), so its `LaunchEnd` reports zero
+    /// iterations and zero totals and its lens delta is dropped rather
+    /// than left pending for the retry's export to pick up.
+    fn end(&self, wall: Duration, completed: Option<&LaunchStats>) {
+        self.on.tracer.emit(|| TraceEvent::LaunchEnd {
+            launch: self.launch,
+            iterations: completed.map_or(0, |s| s.iterations),
+            wall_us: wall.as_micros() as u64,
+            totals: completed.map(LaunchStats::snapshot).unwrap_or_default(),
+        });
+        match completed {
+            Some(stats) => {
+                if let Some(m) = &self.warp_metrics {
+                    m.finish(stats);
+                }
+                self.on.lens.export_launch(self.launch, &self.on.tracer, &self.on.metrics);
+            }
+            None => drop(self.on.lens.drain_launch()),
+        }
+    }
+}
+
+/// What the workers of one launch share.
+struct Launch<'a> {
+    cfg: &'a GpuConfig,
+    workers: usize,
+    phases: usize,
+    barrier: &'a dyn GlobalBarrier,
+    faults: Option<&'a FaultPlan>,
+    watchdog: Option<Duration>,
+    /// Barrier-epoch nonce for the data-race shadow logs: epochs from
+    /// different launches must never collide.
+    #[cfg(feature = "morph-check")]
+    check_nonce: u64,
+    obs: Option<&'a LaunchObs<'a>>,
+}
+
 /// A virtual GPU: a launch configuration plus the machinery to run
 /// [`Kernel`]s under the SIMT execution model.
 pub struct VirtualGpu {
     cfg: GpuConfig,
     faults: Option<Arc<FaultPlan>>,
     barrier_watchdog: Option<Duration>,
-    tracer: Tracer,
-    metrics: MetricsHub,
-    cancel: CancelToken,
-    /// Progress heartbeat: bumped once per completed launch (and again by
-    /// `drive_recovering` at every host-action boundary). A watchdog that
-    /// sees this stand still knows the job is wedged, not merely slow
-    /// between observations.
-    heartbeat: Option<Arc<AtomicU64>>,
-    /// Continuous phase profiler: when armed, per-phase counter deltas
-    /// and wall times are folded into the shared `PhaseProfiler` even
-    /// with no tracer attached.
-    profiler: Option<ProfilerScope>,
-    /// Closed-loop autotuner handle (`morph-tune`). The engine itself
-    /// never consults the controller — recovering host loops do — but an
-    /// enabled tuner arms the cost-model tape so the counters the
-    /// controller feeds on (occupancy, coalescing, divergence) are
-    /// measured even with no tracer or metrics hub attached.
-    tuner: AutoTuner,
-    /// morph-lens attribution hub. When enabled it arms the cost-model
-    /// tape and buckets every metered access per phase × registered
-    /// structure; the default disabled handle costs one branch per warp.
-    lens: LensHub,
+    observers: Observers,
     launch_seq: AtomicU64,
     /// True while a launch is executing on this GPU. Host-side exclusive
     /// access to device buffers (`SharedSlice::as_mut_slice`/`to_vec`) is
@@ -346,13 +465,7 @@ impl VirtualGpu {
             cfg,
             faults: None,
             barrier_watchdog: None,
-            tracer: Tracer::disabled(),
-            metrics: MetricsHub::disabled(),
-            cancel: CancelToken::new(),
-            heartbeat: None,
-            profiler: None,
-            tuner: AutoTuner::default(),
-            lens: LensHub::disabled(),
+            observers: Observers::default(),
             launch_seq: AtomicU64::new(0),
             in_flight: AtomicBool::new(false),
         }
@@ -364,119 +477,15 @@ impl VirtualGpu {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Attach a tracer. Subsequent launches emit `LaunchBegin`,
-    /// per-iteration `PhaseSpan` (grid-wide counter delta + worker-0 wall
-    /// time including the barrier wait) and `LaunchEnd` events. The
-    /// default [`Tracer::disabled`] handle makes every emission a single
-    /// branch — no events are built and no per-launch state is allocated.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// Attach the observers of every subsequent launch, replacing
+    /// whatever was attached before.
+    pub fn set_observers(&mut self, observers: Observers) {
+        self.observers = observers;
     }
 
-    /// The attached tracer handle (disabled by default). Pipelines clone
-    /// this to emit their own algorithm-level events alongside the
-    /// engine's spans.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Attach a metrics hub. Subsequent launches arm the hardware cost
-    /// model (coalescing, bank conflicts, atomic serialization) and feed
-    /// per-warp distributions plus launch totals into the hub's registry.
-    /// The default [`MetricsHub::disabled`] hub keeps the cost model off
-    /// entirely — no tape is allocated and no access is metered.
-    pub fn set_metrics(&mut self, hub: MetricsHub) {
-        self.metrics = hub;
-    }
-
-    /// The attached metrics hub (disabled by default).
-    pub fn metrics(&self) -> &MetricsHub {
-        &self.metrics
-    }
-
-    /// Attach the autotuner handle. The default detached
-    /// [`AutoTuner::default`] costs nothing; an enabled handle arms the
-    /// cost-model tape on subsequent launches (the controller's inputs
-    /// must be measured, not guessed) and recovering host loops read the
-    /// configuration to build their per-pipeline [`morph_tune::Controller`].
-    pub fn set_tuner(&mut self, tuner: AutoTuner) {
-        self.tuner = tuner;
-    }
-
-    /// The attached autotuner handle (detached by default).
-    pub fn tuner(&self) -> &AutoTuner {
-        &self.tuner
-    }
-
-    /// Attach the morph-lens attribution hub. An enabled hub arms the
-    /// cost-model tape on subsequent launches and buckets every metered
-    /// global access per **phase × registered structure** (plus
-    /// same-address atomic serialization and a bounded hot-address
-    /// table). At each launch end the per-launch delta is emitted as
-    /// `lens` trace events (when a tracer is attached) and added to the
-    /// `morph_lens_*` metric families (when a metrics hub is attached);
-    /// the cumulative state is always available via
-    /// [`VirtualGpu::lens`]`().snapshot()`. The default
-    /// [`LensHub::disabled`] handle keeps all of it off.
-    pub fn set_lens(&mut self, hub: LensHub) {
-        self.lens = hub;
-    }
-
-    /// The attached lens hub (disabled by default). Pipelines clone this
-    /// to register their device structures' address windows.
-    pub fn lens(&self) -> &LensHub {
-        &self.lens
-    }
-
-    /// Attach a cancellation token. The engine itself never aborts a
-    /// launch mid-kernel; host loops (`morph_core::drive_recovering`)
-    /// consult this token at host-action boundaries and unwind with a
-    /// structured error, so a cancelled job releases the device with
-    /// quiescent buffers.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    /// The attached cancellation token (a fresh, never-cancelled token by
-    /// default).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
-    /// Arm (or disarm) the continuous phase profiler. Subsequent
-    /// launches attribute each phase's modelled cycles and wall time to
-    /// the scope's `algo;iteration-class;phase` cells — the flamegraph
-    /// source. Arming the profiler also arms the cost-model tape, so the
-    /// attribution includes memory/atomic/conflict costs even when no
-    /// tracer or metrics hub is attached. `None` (the default) allocates
-    /// nothing.
-    pub fn set_profiler(&mut self, scope: Option<ProfilerScope>) {
-        self.profiler = scope;
-    }
-
-    /// The armed profiler scope, if any. Recovering host loops use this
-    /// to keep the scope's host-iteration base in step with the drive
-    /// loop.
-    pub fn profiler(&self) -> Option<&ProfilerScope> {
-        self.profiler.as_ref()
-    }
-
-    /// Attach a progress heartbeat. Each completed launch increments it;
-    /// a hung-job watchdog (e.g. `morph-serve`) compares successive reads
-    /// to tell a wedged job from a slow one. `None` (the default) costs
-    /// nothing.
-    pub fn set_heartbeat(&mut self, beat: Option<Arc<AtomicU64>>) {
-        self.heartbeat = beat;
-    }
-
-    /// Bump the attached heartbeat, if any. Called by the engine after
-    /// every completed launch and by recovering host loops at every
-    /// host-action boundary.
-    #[inline]
-    pub fn beat(&self) {
-        if let Some(b) = &self.heartbeat {
-            b.fetch_add(1, Ordering::Relaxed);
-        }
+    /// What is attached (everything detached by default).
+    pub fn observers(&self) -> &Observers {
+        &self.observers
     }
 
     pub fn config(&self) -> &GpuConfig {
@@ -512,42 +521,24 @@ impl VirtualGpu {
         self.barrier_watchdog = timeout;
     }
 
-    /// Run a single kernel iteration (all phases once).
+    /// Run one kernel iteration (all phases once).
     ///
     /// # Panics
     /// Panics if a virtual thread panics; use [`VirtualGpu::try_launch`]
     /// for structured error recovery.
     pub fn launch<K: Kernel + ?Sized>(&self, kernel: &K) -> LaunchStats {
-        self.drive(kernel, false)
+        self.drive(kernel)
             .unwrap_or_else(|e| panic!("virtual GPU launch failed: {e}"))
-    }
-
-    /// Run the kernel persistently: iterate all phases, consult
-    /// [`Kernel::next_iteration`], repeat until it returns
-    /// [`Decision::Stop`]. Equivalent to re-launching in a host loop, minus
-    /// the launch overhead (the paper's persistent pattern).
-    ///
-    /// # Panics
-    /// Panics if a virtual thread panics; use [`VirtualGpu::try_execute`]
-    /// for structured error recovery.
-    pub fn execute<K: Kernel + ?Sized>(&self, kernel: &K) -> LaunchStats {
-        self.drive(kernel, true)
-            .unwrap_or_else(|e| panic!("virtual GPU execution failed: {e}"))
     }
 
     /// Fallible [`VirtualGpu::launch`]: worker panics are caught and
     /// returned as a [`LaunchError`] naming the failed block/phase. Partial
     /// counter state from a failed launch is discarded.
     pub fn try_launch<K: Kernel + ?Sized>(&self, kernel: &K) -> LaunchOutcome {
-        self.drive(kernel, false)
+        self.drive(kernel)
     }
 
-    /// Fallible [`VirtualGpu::execute`].
-    pub fn try_execute<K: Kernel + ?Sized>(&self, kernel: &K) -> LaunchOutcome {
-        self.drive(kernel, true)
-    }
-
-    fn drive<K: Kernel + ?Sized>(&self, kernel: &K, persistent: bool) -> LaunchOutcome {
+    fn drive<K: Kernel + ?Sized>(&self, kernel: &K) -> LaunchOutcome {
         // Launch-in-flight flag: overlapping launches on one GPU would
         // break the quiescence contract that host-side bulk accessors rely
         // on, so flag entry and clear on every exit path via the guard.
@@ -559,130 +550,65 @@ impl VirtualGpu {
         );
         let _in_flight = InFlightGuard(&self.in_flight);
 
-        // Fresh barrier-epoch nonce for the data-race shadow logs: epochs
-        // from different launches must never collide.
-        #[cfg(feature = "morph-check")]
-        let check_nonce = morph_check::next_launch_nonce();
-        #[cfg(not(feature = "morph-check"))]
-        let check_nonce = 0u64;
-
         let cfg = &self.cfg;
-        let faults = self.faults.as_deref();
-        if let Some(plan) = faults {
+        if let Some(plan) = &self.faults {
             plan.begin_launch();
         }
         let watchdog = self.barrier_watchdog;
         let workers = cfg.effective_workers();
         let phases = kernel.phases().max(1);
         let barrier = make_barrier(cfg.barrier, workers, watchdog);
-        let keep_going = AtomicBool::new(false);
-
-        // Per-launch tracing state exists only when a sink or the phase
-        // profiler is attached: the disabled path allocates nothing and
-        // never builds an event.
-        let trace = (self.tracer.enabled() || self.profiler.is_some()).then(|| TraceState {
-            tracer: self.tracer.clone(),
-            launch: self.launch_seq.fetch_add(1, Ordering::Relaxed),
-            accums: (0..phases).map(|_| PhaseAccum::new()).collect(),
-            profiler: self.profiler.clone(),
-        });
-        if let Some(t) = trace.as_ref() {
-            t.tracer.emit(|| TraceEvent::LaunchBegin {
-                launch: t.launch,
-                blocks: cfg.blocks as u64,
-                threads_per_block: cfg.threads_per_block as u64,
-                phases: phases as u64,
-            });
-        }
-        let trace = trace.as_ref();
-
-        // Per-launch metrics state, same contract: registry handles are
-        // resolved once here, never inside the warp loop.
-        let mstate = self.metrics.enabled().then(|| MetricsState::new(&self.metrics));
-        let mstate = mstate.as_ref();
-        // The cost-model tape is armed for any observer: tracer, metrics
-        // hub, an enabled autotuner (whose controller consumes the
-        // measured occupancy/coalescing/divergence between launches), or
-        // the lens attribution hub.
-        let meter =
-            trace.is_some() || mstate.is_some() || self.tuner.is_enabled() || self.lens.is_enabled();
-        let lens = self.lens.is_enabled().then_some(&self.lens);
+        let obs = LaunchObs::begin(&self.observers, &self.launch_seq, cfg, phases);
+        let launch = Launch {
+            cfg,
+            workers,
+            phases,
+            barrier: barrier.as_ref(),
+            faults: self.faults.as_deref(),
+            watchdog,
+            #[cfg(feature = "morph-check")]
+            check_nonce: morph_check::next_launch_nonce(),
+            obs: obs.as_ref(),
+        };
         let start = Instant::now();
 
         let mut stats = LaunchStats::default();
-        let mut iterations = 0u64;
-
-        if workers == 1 {
+        let failure = if workers == 1 {
             // Degenerate single-worker grid: run inline, no threads.
-            let mut counters = WorkerCounters::default();
-            let progress = Cell::new(Progress::default());
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_worker(
-                    kernel,
-                    cfg,
-                    0,
-                    workers,
-                    phases,
-                    persistent,
-                    barrier.as_ref(),
-                    &keep_going,
-                    &mut counters,
-                    faults,
-                    &progress,
-                    trace,
-                    mstate,
-                    meter,
-                    lens,
-                    check_nonce,
-                )
-            }));
-            match result {
-                Ok(iters) => iterations = iters,
-                Err(payload) => {
-                    return Err(classify_failure(0, progress.get(), payload, watchdog)
-                        .expect("a single worker cannot be a secondary barrier casualty"));
+            match run_contained(kernel, &launch, 0) {
+                Ok(counters) => {
+                    counters.merge_into(&mut stats);
+                    None
+                }
+                Err(cause) => {
+                    Some(cause.expect("a single worker cannot be a secondary barrier casualty"))
                 }
             }
-            counters.merge_into(&mut stats);
         } else {
             // First failure wins; secondary barrier-poison casualties are
             // not recorded (they are consequences, not causes).
             let failure: Mutex<Option<LaunchError>> = Mutex::new(None);
             let collected = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let barrier = barrier.as_ref();
-                    let keep_going = &keep_going;
-                    let failure = &failure;
-                    handles.push(scope.spawn(move || {
-                        let mut counters = WorkerCounters::default();
-                        let progress = Cell::new(Progress::default());
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            run_worker(
-                                kernel, cfg, w, workers, phases, persistent, barrier,
-                                keep_going, &mut counters, faults, &progress, trace,
-                                mstate, meter, lens, check_nonce,
-                            )
-                        }));
-                        match result {
-                            Ok(iters) => Some((iters, counters)),
-                            Err(payload) => {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let (launch, failure) = (&launch, &failure);
+                        scope.spawn(move || match run_contained(kernel, launch, w) {
+                            Ok(counters) => Some(counters),
+                            Err(cause) => {
                                 // Record the cause before waking siblings so
                                 // their poison panics can never win the race.
-                                if let Some(err) =
-                                    classify_failure(w, progress.get(), payload, watchdog)
-                                {
+                                if let Some(err) = cause {
                                     failure
                                         .lock()
                                         .unwrap_or_else(|e| e.into_inner())
                                         .get_or_insert(err);
                                 }
-                                barrier.poison();
+                                launch.barrier.poison();
                                 None
                             }
-                        }
-                    }));
-                }
+                        })
+                    })
+                    .collect();
                 handles
                     .into_iter()
                     .map(|h| {
@@ -691,91 +617,34 @@ impl VirtualGpu {
                     })
                     .collect::<Vec<_>>()
             });
-            if let Some(err) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                return Err(err);
-            }
-            for (iters, counters) in collected.into_iter().flatten() {
-                iterations = iterations.max(iters);
+            for counters in collected.into_iter().flatten() {
                 counters.merge_into(&mut stats);
             }
-        }
+            failure.into_inner().unwrap_or_else(|e| e.into_inner())
+        };
 
-        stats.iterations = iterations;
-        stats.phases = iterations * phases as u64;
-        stats.barrier_rmws = barrier.rmw_traffic();
-        stats.blocks = cfg.blocks;
-        stats.threads_per_block = cfg.threads_per_block;
-        stats.wall = start.elapsed();
-        if let Some(t) = trace {
-            t.tracer.emit(|| TraceEvent::LaunchEnd {
-                launch: t.launch,
-                iterations,
-                wall_us: stats.wall.as_micros() as u64,
-                totals: stats.snapshot(),
-            });
-        }
-        if let Some(m) = mstate {
-            m.finish(&stats);
-        }
-        // Export this launch's attribution delta: one `lens` trace event
-        // per nonzero phase×structure cell, and labelled counter bumps on
-        // the `morph_lens_*` metric families. Cumulative state stays in
-        // the hub for `/lens` snapshots.
-        if self.lens.is_enabled() {
-            let rows = self.lens.drain_launch();
-            for row in &rows {
-                if let Some(t) = trace {
-                    let r = row.clone();
-                    t.tracer.emit(move || TraceEvent::Lens {
-                        launch: t.launch,
-                        phase: r.phase,
-                        region: r.region.clone(),
-                        accesses: r.accesses,
-                        transactions: r.transactions,
-                        atomic_ops: r.atomic_ops,
-                        atomic_serial: r.atomic_serial,
-                        hot_addr: r.hot_addr,
-                        hot_count: r.hot_count,
-                    });
-                }
-                if self.metrics.enabled() {
-                    let hub = self
-                        .metrics
-                        .clone()
-                        .with_label("phase", &row.phase.to_string())
-                        .with_label("region", &row.region);
-                    let bump = |name: &str, help: &str, v: u64| {
-                        if v > 0 {
-                            if let Some(c) = hub.counter(name, help) {
-                                c.add(v);
-                            }
-                        }
-                    };
-                    bump(
-                        "morph_lens_gmem_accesses_total",
-                        "Metered global accesses attributed per phase and structure",
-                        row.accesses,
-                    );
-                    bump(
-                        "morph_lens_gmem_transactions_total",
-                        "Coalescing transactions attributed per phase and structure",
-                        row.transactions,
-                    );
-                    bump(
-                        "morph_lens_atomic_ops_total",
-                        "Atomic RMWs attributed per phase and structure",
-                        row.atomic_ops,
-                    );
-                    bump(
-                        "morph_lens_atomic_serial_total",
-                        "Same-address atomic serialization steps attributed per phase and structure",
-                        row.atomic_serial,
-                    );
-                }
+        let wall = start.elapsed();
+        let outcome = match failure {
+            Some(err) => Err(err),
+            None => {
+                stats.iterations = 1;
+                stats.phases = phases as u64;
+                stats.barrier_rmws = barrier.rmw_traffic();
+                stats.blocks = cfg.blocks;
+                stats.threads_per_block = cfg.threads_per_block;
+                stats.wall = wall;
+                Ok(stats)
             }
+        };
+        if let Some(o) = &obs {
+            o.end(wall, outcome.as_ref().ok());
         }
-        self.beat();
-        Ok(stats)
+        // A failed launch does not beat: a watchdog must see a wedged
+        // slot as silent.
+        if outcome.is_ok() {
+            self.observers.beat();
+        }
+        outcome
     }
 }
 
@@ -810,7 +679,7 @@ fn classify_failure(
         return Some(LaunchError::BarrierStall {
             worker,
             phase: at.phase,
-            iteration: at.iteration,
+            iteration: 0,
             timeout: watchdog.unwrap_or_default(),
         });
     }
@@ -818,178 +687,111 @@ fn classify_failure(
         return Some(LaunchError::DeviceLost {
             worker,
             phase: at.phase,
-            iteration: at.iteration,
+            iteration: 0,
         });
     }
     Some(LaunchError::KernelPanic {
         worker,
         block: at.block,
         phase: at.phase,
-        iteration: at.iteration,
+        iteration: 0,
         message,
     })
 }
 
-/// The per-worker loop. Returns the number of iterations executed.
-#[allow(clippy::too_many_arguments)]
+/// One worker's whole launch, panics contained: its counters, or why it
+/// died (`None` for a secondary casualty of barrier poisoning).
+///
+/// Never inlined: the worker's counters then live in this frame, on the
+/// worker's own stack, and the kernel loop below compiles the same
+/// whichever launch path calls it. Folded into the spawning closure it
+/// cost `pta-solve` 20 % wall.
+#[inline(never)]
+fn run_contained<K: Kernel + ?Sized>(
+    kernel: &K,
+    l: &Launch<'_>,
+    worker: usize,
+) -> Result<WorkerCounters, Option<LaunchError>> {
+    let mut counters = WorkerCounters::default();
+    let progress = Cell::new(Progress::default());
+    catch_unwind(AssertUnwindSafe(|| {
+        run_worker(kernel, l, worker, &mut counters, &progress)
+    }))
+    .map_err(|payload| classify_failure(worker, progress.get(), payload, l.watchdog))?;
+    Ok(counters)
+}
+
+/// The per-worker loop: each phase of every block this worker owns, then
+/// the global barrier.
 fn run_worker<K: Kernel + ?Sized>(
     kernel: &K,
-    cfg: &GpuConfig,
+    l: &Launch<'_>,
     worker: usize,
-    workers: usize,
-    phases: usize,
-    persistent: bool,
-    barrier: &dyn GlobalBarrier,
-    keep_going: &AtomicBool,
     counters: &mut WorkerCounters,
-    faults: Option<&FaultPlan>,
     progress: &Cell<Progress>,
-    trace: Option<&TraceState>,
-    metrics: Option<&MetricsState>,
-    meter: bool,
-    lens: Option<&LensHub>,
-    check_nonce: u64,
-) -> u64 {
-    let tpb = cfg.threads_per_block;
-    let nthreads = cfg.total_threads();
-    let my_blocks: Vec<usize> = (worker..cfg.blocks).step_by(workers).collect();
-    let my_vthreads = my_blocks.len() * tpb;
-    let my_vblocks = my_blocks.len();
+) {
+    let my_blocks: Vec<usize> = (worker..l.cfg.blocks).step_by(l.workers).collect();
+    let my_vthreads = my_blocks.len() * l.cfg.threads_per_block;
 
-    // The cost-model tape records memory accesses whenever any observer
-    // (tracer, metrics hub, or enabled autotuner) is attached; unobserved
-    // launches skip both the allocation and the per-access pushes.
-    let tape = meter.then(WarpTape::new);
-    let tape = tape.as_ref();
+    // The cost-model tape records memory accesses on observed launches
+    // only; detached ones skip both the allocation and the per-access
+    // pushes.
+    let tape = l.obs.map(|_| WarpTape::new());
+    // What this worker last published to the phase accumulators, so each
+    // barrier publishes a per-phase delta.
+    let mut published = CountersSnapshot::default();
 
-    // Tracing bookkeeping (allocated only when a sink is attached): each
-    // worker remembers its last published counter snapshot so it can push
-    // per-phase deltas into the shared accumulators; worker 0 additionally
-    // remembers each phase's previous accumulator totals so the emitted
-    // span is a grid-wide per-iteration delta, not a running sum.
-    let mut my_prev = trace.map(|_| CountersSnapshot::default());
-    let mut emitted_prev: Vec<CountersSnapshot> = match trace {
-        Some(_) if worker == 0 => vec![CountersSnapshot::default(); phases],
-        _ => Vec::new(),
-    };
-
-    let mut iteration = 0usize;
-    loop {
-        // `phase` indexes per-phase trace state as well as driving the
-        // kernel, so an iterator over `emitted_prev` would be wrong here.
-        #[allow(clippy::needless_range_loop)]
-        for phase in 0..phases {
-            let phase_start = match trace {
-                Some(_) if worker == 0 => Some(Instant::now()),
-                _ => None,
-            };
-            // Device loss is a per-(phase, worker) event: the whole slot
-            // dies before it touches any of its blocks this phase, so a
-            // half-run phase looks exactly like a kernel-panic retry to
-            // the host — but is classified as the slot's fault.
-            if let Some(plan) = faults {
-                if plan.lose_device(phase, worker) {
-                    progress.set(Progress {
-                        iteration,
-                        phase,
-                        block: my_blocks.first().copied().unwrap_or(0),
-                    });
-                    panic!("{}", crate::fault::INJECTED_DEVICE_LOSS_MSG);
-                }
-            }
-            // Barrier epoch for the data-race shadow logs: unique per
-            // (launch, iteration, phase) barrier interval.
-            let check_epoch = check_nonce
-                .wrapping_mul(1 << 24)
-                .wrapping_add((iteration * phases + phase) as u64);
-            for &block in &my_blocks {
+    for phase in 0..l.phases {
+        let phase_start = l.obs.filter(|_| worker == 0).map(|_| Instant::now());
+        // Device loss is a per-(phase, worker) event: the whole slot
+        // dies before it touches any of its blocks this phase, so a
+        // half-run phase looks exactly like a kernel-panic retry to
+        // the host — but is classified as the slot's fault.
+        if let Some(plan) = l.faults {
+            if plan.lose_device(phase, worker) {
                 progress.set(Progress {
-                    iteration,
                     phase,
-                    block,
+                    block: my_blocks.first().copied().unwrap_or(0),
                 });
-                run_block_phase(
-                    kernel, cfg, block, phase, iteration, nthreads, counters, faults,
-                    tape, metrics, lens, check_epoch,
-                );
-            }
-            counters.barriers += 1;
-            if let Some(t) = trace {
-                let cur = counters.snapshot();
-                t.accums[phase].add(&cur.delta_since(my_prev.as_ref().unwrap()));
-                my_prev = Some(cur);
-            }
-            if let Some(plan) = faults {
-                if let Some(delay) = plan.stall_before_barrier(phase, worker) {
-                    std::thread::sleep(delay);
-                }
-            }
-            barrier.wait(worker, my_vthreads, my_vblocks);
-            if worker == 0 {
-                if let Some(t) = trace {
-                    let totals = t.accums[phase].totals();
-                    let delta = totals.delta_since(&emitted_prev[phase]);
-                    emitted_prev[phase] = totals;
-                    let wall = phase_start.expect("worker 0 timed the phase").elapsed();
-                    let wall_us = wall.as_micros() as u64;
-                    if let Some(p) = &t.profiler {
-                        p.record(iteration as u64, phase as u64, wall_us, &delta);
-                    }
-                    t.tracer.emit(|| TraceEvent::PhaseSpan {
-                        launch: t.launch,
-                        iteration: iteration as u64,
-                        phase: phase as u64,
-                        wall_us,
-                        delta,
-                    });
-                }
+                panic!("{}", crate::fault::INJECTED_DEVICE_LOSS_MSG);
             }
         }
-
-        iteration += 1;
-        if !persistent {
-            return iteration as u64;
-        }
-
-        // Worker 0 decides; everyone else learns the decision after a
-        // second barrier (all workers are quiescent at this point). A
-        // stall fault targeting `phase == phases` lands on this barrier.
-        if worker == 0 {
-            let d = kernel.next_iteration(iteration - 1);
-            keep_going.store(d == Decision::Continue, Ordering::Release);
+        for &block in &my_blocks {
+            progress.set(Progress { phase, block });
+            run_block_phase(kernel, l, block, phase, counters, tape.as_ref());
         }
         counters.barriers += 1;
-        if let Some(plan) = faults {
-            if let Some(delay) = plan.stall_before_barrier(phases, worker) {
+        if let Some(o) = l.obs {
+            o.phase_arrive(phase, counters, &mut published);
+        }
+        if let Some(plan) = l.faults {
+            if let Some(delay) = plan.stall_before_barrier(phase, worker) {
                 std::thread::sleep(delay);
             }
         }
-        barrier.wait(worker, my_vthreads, my_vblocks);
-        if !keep_going.load(Ordering::Acquire) {
-            return iteration as u64;
+        l.barrier.wait(worker, my_vthreads, my_blocks.len());
+        if let (Some(o), Some(t)) = (l.obs, phase_start) {
+            o.phase_crossed(phase, t.elapsed());
         }
     }
 }
 
 /// Run one phase of one block: warp by warp, lane by lane.
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(feature = "morph-check"), allow(unused_variables))]
 fn run_block_phase<K: Kernel + ?Sized>(
     kernel: &K,
-    cfg: &GpuConfig,
+    l: &Launch<'_>,
     block: usize,
     phase: usize,
-    iteration: usize,
-    nthreads: usize,
     counters: &mut WorkerCounters,
-    faults: Option<&FaultPlan>,
     tape: Option<&WarpTape>,
-    metrics: Option<&MetricsState>,
-    lens: Option<&LensHub>,
-    check_epoch: u64,
 ) {
-    let tpb = cfg.threads_per_block;
-    let warp_size = cfg.warp_size;
+    let tpb = l.cfg.threads_per_block;
+    let warp_size = l.cfg.warp_size;
+    let nthreads = l.cfg.total_threads();
+    // Barrier epoch for the data-race shadow logs: unique per (launch,
+    // phase) barrier interval.
+    #[cfg(feature = "morph-check")]
+    let check_epoch = l.check_nonce.wrapping_mul(1 << 24).wrapping_add(phase as u64);
     let mut tib = 0usize;
     while tib < tpb {
         let lanes = warp_size.min(tpb - tib);
@@ -998,7 +800,7 @@ fn run_block_phase<K: Kernel + ?Sized>(
         for lane in 0..lanes {
             let thread_in_block = tib + lane;
             let tid = block * tpb + thread_in_block;
-            if let Some(plan) = faults {
+            if let Some(plan) = l.faults {
                 if plan.should_panic(phase, block, thread_in_block) {
                     panic!("{}", crate::fault::INJECTED_PANIC_MSG);
                 }
@@ -1007,14 +809,14 @@ fn run_block_phase<K: Kernel + ?Sized>(
                 tid,
                 nthreads,
                 block,
-                nblocks: cfg.blocks,
+                nblocks: l.cfg.blocks,
                 thread_in_block,
                 threads_per_block: tpb,
                 warp,
                 lane,
-                iteration,
+                iteration: 0,
                 counters,
-                faults,
+                faults: l.faults,
                 tape,
             };
             // Mark this OS thread as executing virtual thread `tid` in the
@@ -1035,21 +837,8 @@ fn run_block_phase<K: Kernel + ?Sized>(
         }
         counters.active_threads += active;
         counters.idle_threads += lanes as u64 - active;
-        if let Some(t) = tape {
-            // Attribution must read the tape before scoring: scoring
-            // sorts the atomics in place and drains everything.
-            if let Some(l) = lens {
-                t.with_contents(|gmem, atomics| l.attribute(phase as u64, gmem, atomics));
-            }
-            let score = t.score_and_clear(warp_size);
-            counters.gmem_accesses += score.gmem_accesses;
-            counters.gmem_transactions += score.gmem_transactions;
-            counters.smem_accesses += score.smem_accesses;
-            counters.smem_conflicts += score.smem_conflicts;
-            counters.atomic_serial += score.atomic_serial;
-            if let Some(m) = metrics {
-                m.record_warp(&score);
-            }
+        if let (Some(o), Some(t)) = (l.obs, tape) {
+            o.warp_scored(phase, t, warp_size, counters);
         }
         tib += lanes;
     }
@@ -1150,11 +939,10 @@ mod tests {
         }
     }
 
-    /// Persistent kernel: accumulate until a target is reached, checking
-    /// `next_iteration` plumbing.
+    /// Thread 0 bumps a counter once per launch; every other lane idles.
+    #[derive(Default)]
     struct CountTo {
         total: AtomicU64,
-        target: u64,
     }
 
     impl Kernel for CountTo {
@@ -1166,25 +954,16 @@ mod tests {
                 false
             }
         }
-        fn next_iteration(&self, _iter: usize) -> Decision {
-            if self.total.load(Ordering::Acquire) < self.target {
-                Decision::Continue
-            } else {
-                Decision::Stop
-            }
-        }
     }
 
-    #[test]
-    fn persistent_execution_iterates_until_stop() {
-        let gpu = VirtualGpu::new(GpuConfig::small());
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 23,
-        };
-        let stats = gpu.execute(&k);
-        assert_eq!(k.total.load(Ordering::Acquire), 23);
-        assert_eq!(stats.iterations, 23);
+    /// The host loop of Fig. 3 in its smallest form: `n` launches of one
+    /// kernel, stats absorbed.
+    fn launch_n<K: Kernel>(gpu: &VirtualGpu, k: &K, n: usize) -> LaunchStats {
+        let mut total = LaunchStats::default();
+        for _ in 0..n {
+            total.absorb(&gpu.try_launch(k).expect("no faults configured"));
+        }
+        total
     }
 
     /// Divergence accounting: odd lanes work, even lanes don't.
@@ -1313,10 +1092,7 @@ mod tests {
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let plan = Arc::new(FaultPlan::new().with_kernel_panic(0, 0, 2, 5));
         gpu.set_fault_plan(Arc::clone(&plan));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 1,
-        };
+        let k = CountTo::default();
         match gpu.try_launch(&k) {
             Err(LaunchError::KernelPanic { block, phase, message, .. }) => {
                 assert_eq!(block, 2);
@@ -1336,10 +1112,7 @@ mod tests {
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let plan = Arc::new(FaultPlan::new().with_device_loss(0, 0, 1));
         gpu.set_fault_plan(Arc::clone(&plan));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 1,
-        };
+        let k = CountTo::default();
         match gpu.try_launch(&k) {
             Err(e @ LaunchError::DeviceLost { worker, phase, iteration }) => {
                 assert!(e.is_device_loss());
@@ -1360,11 +1133,11 @@ mod tests {
     fn heartbeat_counts_completed_launches() {
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let beat = Arc::new(AtomicU64::new(0));
-        gpu.set_heartbeat(Some(Arc::clone(&beat)));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 1,
-        };
+        gpu.set_observers(Observers {
+            heartbeat: Some(Arc::clone(&beat)),
+            ..Observers::default()
+        });
+        let k = CountTo::default();
         gpu.try_launch(&k).unwrap();
         gpu.try_launch(&k).unwrap();
         assert_eq!(beat.load(Ordering::Relaxed), 2);
@@ -1385,10 +1158,7 @@ mod tests {
             1,
             Duration::from_secs(2),
         )));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 1,
-        };
+        let k = CountTo::default();
         let start = Instant::now();
         match gpu.try_launch(&k) {
             Err(LaunchError::BarrierStall { timeout, .. }) => {
@@ -1406,12 +1176,10 @@ mod tests {
     fn watchdog_quiet_when_no_stall() {
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         gpu.set_barrier_watchdog(Some(Duration::from_secs(5)));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 7,
-        };
-        let stats = gpu.try_execute(&k).expect("no stall expected");
+        let k = CountTo::default();
+        let stats = launch_n(&gpu, &k, 7);
         assert_eq!(stats.iterations, 7);
+        assert_eq!(k.total.load(Ordering::Acquire), 7);
     }
 
     #[test]
@@ -1461,7 +1229,9 @@ mod tests {
     }
 
     #[test]
-    fn iteration_counter_visible_to_threads() {
+    fn iterations_are_counted_by_the_host_loop() {
+        // A launch is one iteration: threads always see iteration 0 and
+        // the trip count is the host's, summed by `absorb`.
         struct IterCheck {
             max_seen: AtomicU64,
         }
@@ -1471,19 +1241,14 @@ mod tests {
                     .fetch_max(ctx.iteration as u64, Ordering::AcqRel);
                 true
             }
-            fn next_iteration(&self, iter: usize) -> Decision {
-                if iter < 4 {
-                    Decision::Continue
-                } else {
-                    Decision::Stop
-                }
-            }
         }
         let k = IterCheck {
             max_seen: AtomicU64::new(0),
         };
-        VirtualGpu::new(GpuConfig::small()).execute(&k);
-        assert_eq!(k.max_seen.load(Ordering::Acquire), 4);
+        let stats = launch_n(&VirtualGpu::new(GpuConfig::small()), &k, 5);
+        assert_eq!(k.max_seen.load(Ordering::Acquire), 0);
+        assert_eq!(stats.iterations, 5);
+        assert_eq!(stats.phases, 5);
     }
 
     /// Every thread launches exactly one speculative activity; some abort,
@@ -1531,7 +1296,10 @@ mod tests {
     fn metered_gpu(cfg: GpuConfig) -> (VirtualGpu, Arc<morph_metrics::MetricsRegistry>) {
         let mut gpu = VirtualGpu::new(cfg);
         let registry = Arc::new(morph_metrics::MetricsRegistry::new());
-        gpu.set_metrics(MetricsHub::new(registry.clone()));
+        gpu.set_observers(Observers {
+            metrics: MetricsHub::new(registry.clone()),
+            ..Observers::default()
+        });
         (gpu, registry)
     }
 
@@ -1690,33 +1458,160 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unobserved_launch_skips_the_cost_model() {
-        // Zero-cost contract: with neither tracer nor metrics hub the tape
-        // never exists, so metered accessors record nothing.
-        let stats = VirtualGpu::new(GpuConfig::small()).launch(&ContendedCounter {
-            bins: AtomicU32Slice::new(8, 0),
-            same_address: true,
-        });
-        assert_eq!(stats.gmem_accesses, 0);
-        assert_eq!(stats.gmem_transactions, 0);
-        assert_eq!(stats.atomic_serial, 0);
-        assert!(stats.atomics > 0, "plain atomic counting is unconditional");
-        assert!(stats.active_warps > 0, "occupancy metering is unconditional");
+    /// Fixed traffic at logical addresses, so every counter repeats exactly:
+    /// per lane a strided global access, a shared-memory word in bank 0 and
+    /// an atomic on one of two words; odd lanes sit out phase 1.
+    struct Metered {
+        hits: AtomicU32Slice,
+    }
+    impl Kernel for Metered {
+        fn phases(&self) -> usize {
+            2
+        }
+        fn run(&self, phase: usize, ctx: &mut ThreadCtx<'_>) -> bool {
+            if phase == 1 && ctx.lane % 2 == 1 {
+                return false;
+            }
+            ctx.gmem_addr(0x1000 + ctx.tid * 8 * (phase + 1));
+            ctx.smem_word(ctx.lane * METERED_WARP);
+            ctx.atomic_add_u32_at(self.hits.at(0), 1, 0x9000 + (ctx.tid % 2) * 4);
+            true
+        }
+    }
+    const METERED_WARP: usize = 8;
+
+    fn metered_cfg(sms: usize) -> GpuConfig {
+        GpuConfig {
+            num_sms: sms,
+            warp_size: METERED_WARP,
+            blocks: 4,
+            threads_per_block: 16,
+            barrier: crate::BarrierKind::SenseReversing,
+        }
     }
 
     #[test]
-    fn traced_launch_emits_spans_that_sum_to_totals() {
+    fn every_armed_set_meters_alike_and_the_detached_launch_not_at_all() {
+        use morph_trace::{PhaseProfiler, RingSink};
+        use morph_tune::TuneConfig;
+
+        let all = Observers {
+            tracer: Tracer::new(Arc::new(RingSink::new(4096))),
+            metrics: MetricsHub::new(Arc::new(morph_metrics::MetricsRegistry::new())),
+            profiler: Some(ProfilerScope::new(Arc::new(PhaseProfiler::new()), "t")),
+            tuner: AutoTuner::enabled(TuneConfig::default()),
+            lens: LensHub::enabled(),
+            ..Observers::default()
+        };
+        let d = Observers::default;
+        let sets = [
+            ("none", d()),
+            ("tracer", Observers { tracer: all.tracer.clone(), ..d() }),
+            ("metrics", Observers { metrics: all.metrics.clone(), ..d() }),
+            ("profiler", Observers { profiler: all.profiler.clone(), ..d() }),
+            ("tuner", Observers { tuner: all.tuner.clone(), ..d() }),
+            ("lens", Observers { lens: all.lens.clone(), ..d() }),
+            ("all", all.clone()),
+        ];
+        let cost_model = |s: &LaunchStats| {
+            [s.gmem_accesses, s.gmem_transactions, s.smem_accesses, s.smem_conflicts, s.atomic_serial]
+        };
+        let always = |s: &LaunchStats| [s.active_warps, s.warps, s.atomics, s.active_threads];
+        let mut armed_ref = None;
+        let mut always_ref = None;
+        // One worker runs inline, two run scoped: both paths share one
+        // `Launch`, so the table must not care.
+        for sms in [1, 2] {
+            for (name, set) in &sets {
+                let mut gpu = VirtualGpu::new(metered_cfg(sms));
+                gpu.set_observers(set.clone());
+                let stats = gpu.launch(&Metered {
+                    hits: AtomicU32Slice::new(1, 0),
+                });
+                let tag = format!("{name}, {sms} worker(s)");
+                if *name == "none" {
+                    assert!(!set.needs_tape());
+                    assert_eq!(cost_model(&stats), [0; 5], "{tag}");
+                } else {
+                    assert!(set.needs_tape(), "{tag}");
+                    let want = *armed_ref.get_or_insert(cost_model(&stats));
+                    assert!(want.iter().all(|&v| v > 0), "{tag}: {want:?}");
+                    assert_eq!(cost_model(&stats), want, "{tag}");
+                }
+                let want = *always_ref.get_or_insert(always(&stats));
+                assert_eq!(always(&stats), want, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn aborted_launch_closes_its_span_and_keeps_its_lens_delta_out_of_the_retry() {
+        use morph_trace::RingSink;
+
+        let mut gpu = VirtualGpu::new(metered_cfg(2));
+        let sink = Arc::new(RingSink::new(4096));
+        gpu.set_observers(Observers {
+            tracer: Tracer::new(sink.clone()),
+            lens: LensHub::enabled(),
+            ..Observers::default()
+        });
+        // Launch 0 dies in phase 1, after phase 0's traffic was attributed.
+        gpu.set_fault_plan(Arc::new(FaultPlan::new().with_kernel_panic(0, 1, 2, 5)));
+        let k = Metered {
+            hits: AtomicU32Slice::new(1, 0),
+        };
+        assert!(matches!(
+            gpu.try_launch(&k),
+            Err(LaunchError::KernelPanic { phase: 1, block: 2, .. })
+        ));
+        let retry = gpu.try_launch(&k).expect("the fault fires once");
+
+        let events = sink.events();
+        let end_of = |id: u64| {
+            events.iter().find_map(|e| match e {
+                TraceEvent::LaunchEnd { launch, iterations, totals, .. } if *launch == id => {
+                    Some((*iterations, *totals))
+                }
+                _ => None,
+            })
+        };
+        let lens_accesses = |id: u64| -> u64 {
+            events
+                .iter()
+                .map(|e| match e {
+                    TraceEvent::Lens { launch, accesses, .. } if *launch == id => *accesses,
+                    _ => 0,
+                })
+                .sum()
+        };
+        assert_eq!(
+            end_of(0),
+            Some((0, CountersSnapshot::default())),
+            "the dead attempt's span is closed, with its counters discarded"
+        );
+        assert_eq!(lens_accesses(0), 0, "and it exports no lens rows");
+        let (iterations, totals) = end_of(1).expect("the retry ends");
+        assert_eq!(iterations, 1);
+        assert_eq!(totals.gmem_accesses, retry.gmem_accesses);
+        assert!(totals.gmem_accesses > 0);
+        assert_eq!(
+            lens_accesses(1),
+            totals.gmem_accesses,
+            "the retry's lens rows cover the retry's traffic and nothing else"
+        );
+    }
+
+    #[test]
+    fn traced_launches_emit_spans_that_sum_to_totals() {
         use morph_trace::RingSink;
 
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let sink = Arc::new(RingSink::new(1024));
-        gpu.set_tracer(Tracer::new(sink.clone()));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 3,
-        };
-        let stats = gpu.execute(&k);
+        gpu.set_observers(Observers {
+            tracer: Tracer::new(sink.clone()),
+            ..Observers::default()
+        });
+        let stats = launch_n(&gpu, &CountTo::default(), 3);
         assert_eq!(stats.iterations, 3);
 
         let events = sink.events();
@@ -1724,7 +1619,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, TraceEvent::LaunchBegin { .. }))
             .collect();
-        assert_eq!(begins.len(), 1);
+        assert_eq!(begins.len(), 3);
         match begins[0] {
             TraceEvent::LaunchBegin {
                 blocks,
@@ -1739,64 +1634,56 @@ mod tests {
             _ => unreachable!(),
         }
 
-        // One span per (iteration, phase); deltas must sum back to the
-        // launch totals for every counter except barriers (the final
-        // decision barrier is crossed after the last span is cut).
+        // One span per (launch, phase); the deltas sum back to the launch
+        // totals for every counter, barriers included.
         let mut summed = CountersSnapshot::default();
+        let mut ended = CountersSnapshot::default();
         let mut spans = 0;
         for e in &events {
-            if let TraceEvent::PhaseSpan { delta, .. } = e {
-                summed.add(delta);
-                spans += 1;
+            match e {
+                TraceEvent::PhaseSpan { delta, .. } => {
+                    summed.add(delta);
+                    spans += 1;
+                }
+                TraceEvent::LaunchEnd { iterations, totals, .. } => {
+                    assert_eq!(*iterations, 1);
+                    ended.add(totals);
+                }
+                _ => {}
             }
         }
-        assert_eq!(spans, 3, "one span per iteration of a 1-phase kernel");
-        let totals = stats.snapshot();
-        assert_eq!(summed.active_threads, totals.active_threads);
-        assert_eq!(summed.idle_threads, totals.idle_threads);
-        assert_eq!(summed.warps, totals.warps);
-        assert_eq!(summed.divergent_warps, totals.divergent_warps);
-        assert_eq!(summed.atomics, totals.atomics);
-        assert_eq!(summed.aborts, totals.aborts);
-        assert_eq!(summed.commits, totals.commits);
-        assert_eq!(summed.gmem_accesses, totals.gmem_accesses);
-        assert_eq!(summed.gmem_transactions, totals.gmem_transactions);
-        assert_eq!(summed.smem_accesses, totals.smem_accesses);
-        assert_eq!(summed.smem_conflicts, totals.smem_conflicts);
-        assert_eq!(summed.atomic_serial, totals.atomic_serial);
-        assert_eq!(summed.active_warps, totals.active_warps);
+        assert_eq!(spans, 3, "one span per launch of a 1-phase kernel");
+        assert_eq!(summed, stats.snapshot());
+        assert_eq!(ended, stats.snapshot());
         assert!(
-            totals.gmem_accesses > 0,
+            summed.gmem_accesses > 0,
             "a traced launch arms the cost model, and this kernel issues atomics"
         );
-
-        match events.last().expect("stream not empty") {
-            TraceEvent::LaunchEnd {
-                iterations, totals, ..
-            } => {
-                assert_eq!(*iterations, 3);
-                assert_eq!(totals.atomics, stats.atomics);
-            }
-            other => panic!("expected trailing LaunchEnd, got {other:?}"),
-        }
+        assert!(matches!(events.last(), Some(TraceEvent::LaunchEnd { .. })));
     }
 
     #[test]
     fn profiler_only_launch_fills_the_phase_profile() {
-        use morph_trace::{PhaseProfiler, ProfilerScope};
+        use morph_trace::PhaseProfiler;
 
         // A profiler with no tracer must still arm the tape and attribute
         // per-phase cycles — the introspection plane samples continuously
         // even when full event streaming is off.
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let profiler = Arc::new(PhaseProfiler::new());
-        gpu.set_profiler(Some(ProfilerScope::new(Arc::clone(&profiler), "dmr")));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 3,
-        };
-        let stats = gpu.execute(&k);
-        assert_eq!(stats.iterations, 3);
+        let scope = ProfilerScope::new(Arc::clone(&profiler), "dmr");
+        gpu.set_observers(Observers {
+            profiler: Some(scope.clone()),
+            ..Observers::default()
+        });
+        let k = CountTo::default();
+        // The host loop owns the iteration count (as `drive_recovering`
+        // does): each launch lands in its host iteration's class.
+        let mut stats = LaunchStats::default();
+        for host_iteration in 0..3 {
+            scope.set_host_iteration(host_iteration);
+            stats.absorb(&gpu.launch(&k));
+        }
         assert!(
             stats.gmem_accesses > 0,
             "a profiled launch arms the cost model"
@@ -1805,13 +1692,10 @@ mod tests {
         let folded = profiler.to_folded();
         assert!(folded.contains("dmr;it0;phase0 "), "{folded}");
         assert!(folded.contains("dmr;it2-3;phase0 "), "{folded}");
-        // Dropping the scope and launching again records nothing new.
-        gpu.set_profiler(None);
+        // Detaching the scope and launching again records nothing new.
+        gpu.set_observers(Observers::default());
         let before = folded.len();
-        gpu.execute(&CountTo {
-            total: AtomicU64::new(0),
-            target: 2,
-        });
+        gpu.launch(&k);
         assert_eq!(profiler.to_folded().len(), before);
     }
 
@@ -1821,17 +1705,11 @@ mod tests {
 
         let mut gpu = VirtualGpu::new(GpuConfig::small());
         let sink = Arc::new(RingSink::new(64));
-        gpu.set_tracer(Tracer::new(sink.clone()));
-        let k = CountTo {
-            total: AtomicU64::new(0),
-            target: 1,
-        };
-        gpu.launch(&k);
-        let k2 = CountTo {
-            total: AtomicU64::new(0),
-            target: 1,
-        };
-        gpu.launch(&k2);
+        gpu.set_observers(Observers {
+            tracer: Tracer::new(sink.clone()),
+            ..Observers::default()
+        });
+        launch_n(&gpu, &CountTo::default(), 2);
         let ids: Vec<u64> = sink
             .events()
             .iter()

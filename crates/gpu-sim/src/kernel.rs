@@ -4,26 +4,15 @@
 //! is split at `global_sync()` calls into numbered *phases* — exactly the
 //! structure of the paper's Figure 3 pseudo-code (race / prioritycheck /
 //! check / commit). The engine runs phase `p` for every virtual thread in
-//! the grid, crosses a global barrier, then runs phase `p+1`.
-//!
-//! In *persistent* execution ([`crate::VirtualGpu::execute`]) the whole
-//! phase sequence repeats until [`Kernel::next_iteration`] returns
-//! [`Decision::Stop`]; this models the paper's `do { refine_kernel() }
-//! while changed` host loop without the per-launch overhead, using the
-//! software global barrier between iterations.
+//! the grid, crosses a global barrier, then runs phase `p+1`. One launch
+//! is one pass over the phases; the paper's `do { refine_kernel() } while
+//! changed` loop belongs to the host.
 
 use crate::config::WorkPartition;
 use crate::costmodel::WarpTape;
 use crate::counters::WorkerCounters;
 use crate::mem::SharedSlice;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// Whether a persistent execution runs another iteration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Decision {
-    Continue,
-    Stop,
-}
 
 /// A virtual-GPU kernel. See the [module docs](self) for the model.
 pub trait Kernel: Sync {
@@ -38,14 +27,6 @@ pub trait Kernel: Sync {
     /// the engine uses the per-warp pattern of these flags to account SIMT
     /// divergence (paper §7.6).
     fn run(&self, phase: usize, ctx: &mut ThreadCtx<'_>) -> bool;
-
-    /// Called by a single worker after all phases of iteration `iter`
-    /// complete (all threads quiescent), before the next iteration starts.
-    /// This is where the `changed` flag of the paper's host loop is
-    /// inspected. Only used by [`crate::VirtualGpu::execute`].
-    fn next_iteration(&self, _iter: usize) -> Decision {
-        Decision::Stop
-    }
 }
 
 /// Per-virtual-thread execution context: thread coordinates plus counted
@@ -69,14 +50,15 @@ pub struct ThreadCtx<'a> {
     pub warp: usize,
     /// Lane within the warp.
     pub lane: usize,
-    /// Iteration number (0 for plain launches).
+    /// Iteration within the launch: always 0, a launch being one pass
+    /// over the phases (host loops count their own iterations).
     pub iteration: usize,
     pub(crate) counters: &'a mut WorkerCounters,
     /// Fault plan attached to the launching [`crate::VirtualGpu`], if any.
     pub(crate) faults: Option<&'a crate::fault::FaultPlan>,
-    /// Cost-model tape for the currently executing warp. `None` unless a
-    /// tracer or metrics registry is attached to the launch. Shared (the
-    /// tape is interior-mutable) so `&ThreadCtx` paths like
+    /// Cost-model tape for the currently executing warp. `None` on a
+    /// launch no observer meters ([`crate::engine::Observers::needs_tape`]).
+    /// Shared (the tape is interior-mutable) so `&ThreadCtx` paths like
     /// [`crate::BlockLocal::with`] can record through it.
     pub(crate) tape: Option<&'a WarpTape>,
 }

@@ -14,8 +14,8 @@
 //! [`LensHub`] follows the workspace observer pattern (`Tracer`,
 //! `MetricsHub`, `AutoTuner`): the default handle is disabled and every
 //! operation on it is a branch on a `None` — no allocation, no lock,
-//! no metering. An enabled hub arms the cost-model tape on launches
-//! exactly like the other observers.
+//! no metering. It is attached with the other observers
+//! ([`crate::engine::Observers`]).
 //!
 //! Traffic whose address falls outside every registered range lands in
 //! the reserved `"unattributed"` bucket. Pipelines register *logical*
@@ -25,6 +25,8 @@
 //! hot structure.
 
 use crate::costmodel::SEGMENT_BYTES;
+use morph_metrics::MetricsHub;
+use morph_trace::{TraceEvent, Tracer};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -225,8 +227,9 @@ impl CellCounts {
 }
 
 /// Cumulative totals plus the not-yet-drained per-launch delta. The
-/// engine drains `pending` at every `LaunchEnd` to emit `lens` trace
-/// events and bump `morph_lens_*` counters; `total` feeds `/lens`.
+/// engine drains `pending` when a launch ends — exported as `lens` trace
+/// events and `morph_lens_*` bumps if it completed, dropped if it
+/// aborted; `total` feeds `/lens`.
 #[derive(Debug, Default, Clone, Copy)]
 struct Cell {
     total: CellCounts,
@@ -507,10 +510,66 @@ impl LensHub {
         }
     }
 
-    /// The per-launch delta rows (and clear them): what `LaunchEnd`
-    /// turns into `lens` trace events and `morph_lens_*` counter bumps.
+    /// The per-launch delta rows (and clear them). An aborted launch
+    /// drains and drops them; a completed one goes through
+    /// [`LensHub::export_launch`].
     pub(crate) fn drain_launch(&self) -> Vec<LensRow> {
         self.lock().map(|mut st| st.drain_launch()).unwrap_or_default()
+    }
+
+    /// Export a completed launch's attribution delta: one `lens` trace
+    /// event per nonzero phase × structure cell, and labelled bumps on the
+    /// `morph_lens_*` metric families. Cumulative state stays in the hub
+    /// for `/lens` snapshots.
+    pub(crate) fn export_launch(&self, launch: u64, tracer: &Tracer, metrics: &MetricsHub) {
+        for row in self.drain_launch() {
+            tracer.emit(|| TraceEvent::Lens {
+                launch,
+                phase: row.phase,
+                region: row.region.clone(),
+                accesses: row.accesses,
+                transactions: row.transactions,
+                atomic_ops: row.atomic_ops,
+                atomic_serial: row.atomic_serial,
+                hot_addr: row.hot_addr,
+                hot_count: row.hot_count,
+            });
+            if !metrics.enabled() {
+                continue;
+            }
+            let hub = metrics
+                .clone()
+                .with_label("phase", &row.phase.to_string())
+                .with_label("region", &row.region);
+            for (name, help, v) in [
+                (
+                    "morph_lens_gmem_accesses_total",
+                    "Metered global accesses attributed per phase and structure",
+                    row.accesses,
+                ),
+                (
+                    "morph_lens_gmem_transactions_total",
+                    "Coalescing transactions attributed per phase and structure",
+                    row.transactions,
+                ),
+                (
+                    "morph_lens_atomic_ops_total",
+                    "Atomic RMWs attributed per phase and structure",
+                    row.atomic_ops,
+                ),
+                (
+                    "morph_lens_atomic_serial_total",
+                    "Same-address atomic serialization steps attributed per phase and structure",
+                    row.atomic_serial,
+                ),
+            ] {
+                if v > 0 {
+                    if let Some(c) = hub.counter(name, help) {
+                        c.add(v);
+                    }
+                }
+            }
+        }
     }
 
     /// Cumulative attribution state (the `/lens` payload).

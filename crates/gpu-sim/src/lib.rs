@@ -71,7 +71,7 @@ pub mod shared;
 pub use cancel::CancelToken;
 pub use config::{BarrierKind, GpuConfig, WorkPartition};
 pub use counters::{LaunchStats, WorkerCounters};
-pub use engine::{LaunchError, LaunchOutcome, VirtualGpu};
+pub use engine::{LaunchError, LaunchOutcome, Observers, VirtualGpu};
 pub use costmodel::SEGMENT_BYTES;
 // Re-exported so kernels and pipelines can emit trace events without
 // depending on morph-trace directly.
@@ -87,7 +87,7 @@ pub use morph_tune::{
     AutoTuner, ConflictPolicy, Controller, TuneConfig, TuneDecision, TuneInput,
 };
 pub use fault::{AppendFault, FaultPlan, INJECTED_DEVICE_LOSS_MSG, INJECTED_PANIC_MSG};
-pub use kernel::{Decision, Kernel, ThreadCtx};
+pub use kernel::{Kernel, ThreadCtx};
 pub use lens::{LensHot, LensHub, LensRegion, LensRow, LensSnapshot, LENS_UNATTRIBUTED};
 pub use mem::{AtomicF32Slice, AtomicF64Slice, AtomicU32Slice, AtomicU64Slice, SharedSlice};
 pub use shared::BlockLocal;

@@ -200,11 +200,11 @@ pub fn try_mst_with_stats(
         barrier: BarrierKind::SenseReversing,
     });
     recovery.arm(&mut gpu);
-    if gpu.lens().is_enabled() {
-        gpu.lens().register("mst.components", COMPONENTS_BASE, n * 4);
-        gpu.lens().register("mst.csr_edges", CSR_EDGES_BASE, g.num_edges() * 8);
-        gpu.lens().register("mst.best_edges", BEST_BASE, n * 8);
-        gpu.lens().register("mst.accumulators", ACCUM_BASE, 16);
+    if gpu.observers().lens.is_enabled() {
+        gpu.observers().lens.register("mst.components", COMPONENTS_BASE, n * 4);
+        gpu.observers().lens.register("mst.csr_edges", CSR_EDGES_BASE, g.num_edges() * 8);
+        gpu.observers().lens.register("mst.best_edges", BEST_BASE, n * 8);
+        gpu.observers().lens.register("mst.accumulators", ACCUM_BASE, 16);
     }
 
     // Resume from the newest checkpoint, if one exists for this job: the
@@ -255,10 +255,10 @@ pub fn try_mst_with_stats(
         // Per-round marker: components remaining after this round's
         // merges ("the process repeats until there is a single
         // component") — the MST analogue of the Fig. 2 series.
-        if gpu.tracer().enabled() {
+        if gpu.observers().tracer.enabled() {
             let components = n as u64 - edges.load(Ordering::Acquire) as u64;
             let iteration = ctx.iteration;
-            gpu.tracer().emit(|| TraceEvent::AlgoIteration {
+            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
                 algo: "mst".into(),
                 iteration,
                 metric: "components".into(),
@@ -276,7 +276,7 @@ pub fn try_mst_with_stats(
         #[cfg(feature = "morph-check")]
         if oracle.due(ctx, &action) {
             morph_core::report_oracle(
-                gpu.tracer(),
+                &gpu.observers().tracer,
                 "oracle.mst.end_state",
                 mst_oracle(
                     g,
@@ -293,7 +293,7 @@ pub fn try_mst_with_stats(
         // due (the payload closure never runs without an attached store).
         if let Some(ck) = &recovery.checkpoint {
             if action != HostAction::Stop && ck.due(ctx.iteration) {
-                ck.save(gpu.tracer(), "mst", ctx.iteration, || {
+                ck.save(&gpu.observers().tracer, "mst", ctx.iteration, || {
                     encode_mst_checkpoint(
                         &uf,
                         weight.load(Ordering::Acquire),

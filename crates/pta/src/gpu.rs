@@ -322,7 +322,7 @@ pub fn try_solve_with(
             #[cfg(feature = "morph-check")]
             if oracle.due(ctx, &action) {
                 morph_core::report_oracle(
-                    gpu.tracer(),
+                    &gpu.observers().tracer,
                     "oracle.pta.fixpoint",
                     pta_oracle(prob, &pts, &mut reference, false),
                 );
@@ -350,16 +350,16 @@ pub fn try_solve_with(
         // Per-iteration markers: how many nodes still have enabled
         // incoming edges (the §7.6 divergence-sort population) and the
         // chunk-arena footprint (§7.1 Kernel-Only allocation high water).
-        if gpu.tracer().enabled() {
+        if gpu.observers().tracer.enabled() {
             let dirty_nodes = (0..n).filter(|&v| dirty.load_relaxed(v) != 0).count();
             let iteration = ctx.iteration;
-            gpu.tracer().emit(|| TraceEvent::AlgoIteration {
+            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
                 algo: "pta".into(),
                 iteration,
                 metric: "dirty_nodes".into(),
                 value: dirty_nodes as f64,
             });
-            gpu.tracer().emit(|| TraceEvent::Alloc {
+            gpu.observers().tracer.emit(|| TraceEvent::Alloc {
                 name: "pta.chunk_arena".into(),
                 used: incoming.chunks_allocated() as u64,
                 capacity: incoming.max_chunks() as u64,
@@ -376,7 +376,7 @@ pub fn try_solve_with(
         #[cfg(feature = "morph-check")]
         if oracle.due(ctx, &action) {
             morph_core::report_oracle(
-                gpu.tracer(),
+                &gpu.observers().tracer,
                 "oracle.pta.fixpoint",
                 pta_oracle(prob, &pts, &mut reference, action == HostAction::Stop),
             );
@@ -386,7 +386,7 @@ pub fn try_solve_with(
         // store). Regrow iterations returned early above and are skipped.
         if let Some(ck) = &recovery.checkpoint {
             if action != HostAction::Stop && ck.due(ctx.iteration) {
-                ck.save(gpu.tracer(), "pta", ctx.iteration, || {
+                ck.save(&gpu.observers().tracer, "pta", ctx.iteration, || {
                     encode_pta_checkpoint(&pts, iterations_base + ctx.iteration + 1)
                 });
             }

@@ -322,22 +322,6 @@ impl Inner {
             .collect()
     }
 
-    /// Stamp a job's terminal transition in the live meta table. Returns
-    /// the SLO sample `(tenant, turnaround_us, ok)` when the outcome
-    /// counts toward the objective (`ok: None` = user cancel, no sample).
-    fn note_terminal(
-        &self,
-        st: &mut ServeState,
-        id: JobId,
-        ok: Option<bool>,
-    ) -> Option<(String, u64, bool)> {
-        let now = self.now_us();
-        let meta = st.meta.get_mut(&id)?;
-        meta.ended_us = Some(now);
-        let turnaround = now.saturating_sub(meta.submitted_us);
-        ok.map(|ok| (meta.tenant.clone(), turnaround, ok))
-    }
-
     /// Feed one terminal sample into the SLO monitor: mirror the fast
     /// burn on the `morph_slo_burn_rate` gauge and emit an Alert event on
     /// the rising edge. Call with the state lock released.
@@ -366,30 +350,87 @@ impl Inner {
         }
     }
 
-    // One parameter per field of the event it mirrors.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_job(
+    fn emit_job(&self, ev: JobEvent<'_>) {
+        let t_us = self.now_us();
+        self.tracer.emit(move || TraceEvent::Job {
+            job: ev.job,
+            tenant: ev.tenant.to_string(),
+            kind: ev.kind,
+            queue_depth: ev.queue_depth,
+            device: ev.device,
+            t_us,
+            deadline_us: ev.deadline_us,
+            detail: ev.detail,
+        });
+    }
+
+    /// The one terminal transition of a job's life. Write-ahead: the
+    /// journal record — exactly one terminal record per admitted job —
+    /// is appended before the status flips; then the `/jobs` row closes,
+    /// the queue-depth gauge and the SLO monitor are fed, the job's
+    /// checkpoint artifacts are discarded, the lifecycle event goes out
+    /// and waiters wake. Consumes the state lock; `device` is 0 for a job
+    /// that never left the queue.
+    fn terminate(
         &self,
-        job: JobId,
-        tenant: &str,
-        kind: JobEventKind,
-        queue_depth: u64,
+        mut st: MutexGuard<'_, ServeState>,
+        job: &Job,
         device: u64,
-        deadline_us: u64,
+        status: JobStatus,
         detail: String,
     ) {
-        let t_us = self.now_us();
-        let tenant = tenant.to_string();
-        self.tracer.emit(move || TraceEvent::Job {
-            job,
-            tenant,
+        let id = job.id;
+        // Journal record, lifecycle event and SLO verdict (`None`: a user
+        // cancel is no sample) all follow from the status.
+        let (record, kind, ok) = match &status {
+            JobStatus::Finished { .. } => (
+                JournalRecord::Finished { job: id },
+                JobEventKind::Finished,
+                Some(true),
+            ),
+            JobStatus::Failed { permanent, .. } => (
+                JournalRecord::Failed {
+                    job: id,
+                    permanent: *permanent,
+                },
+                JobEventKind::Failed,
+                Some(false),
+            ),
+            JobStatus::Cancelled => (
+                JournalRecord::Cancelled { job: id },
+                JobEventKind::Cancelled,
+                None,
+            ),
+            JobStatus::Queued | JobStatus::Running { .. } => {
+                unreachable!("terminate takes a terminal status, got {status:?}")
+            }
+        };
+        self.journal(record);
+        st.statuses.insert(id, status);
+        // Close the `/jobs` row; the SLO sample is `(tenant, turnaround_us,
+        // ok)` when the outcome counts toward the objective.
+        let now = self.now_us();
+        let slo = st.meta.get_mut(&id).and_then(|meta| {
+            meta.ended_us = Some(now);
+            ok.map(|ok| (meta.tenant.clone(), now.saturating_sub(meta.submitted_us), ok))
+        });
+        let depth = st.queue.len() as u64;
+        drop(st);
+        self.note_queue_depth(depth);
+        self.observe_slo(slo);
+        if let Some(store) = &self.checkpoints {
+            store.discard(id);
+        }
+        self.emit_job(JobEvent {
+            job: id,
+            tenant: &job.spec.tenant,
             kind,
-            queue_depth,
+            queue_depth: depth,
             device,
-            t_us,
-            deadline_us,
+            deadline_us: job.deadline_us,
             detail,
         });
+        self.done.notify_all();
     }
 
     /// Emit a slot-health transition and mirror it on the
@@ -457,6 +498,18 @@ impl Inner {
             detail,
         });
     }
+}
+
+/// The fields of one `TraceEvent::Job`, bar the timestamp
+/// [`Inner::emit_job`] stamps.
+struct JobEvent<'a> {
+    job: JobId,
+    tenant: &'a str,
+    kind: JobEventKind,
+    queue_depth: u64,
+    device: u64,
+    deadline_us: u64,
+    detail: String,
 }
 
 /// Tees the pool's sink chain into the journal: every `Checkpoint`
@@ -745,15 +798,15 @@ impl MorphServe {
         }
         let depth = inner.state.lock().unwrap().queue.len() as u64;
         for (id, tenant, deadline_us) in recovered_meta {
-            inner.emit_job(
-                id,
-                &tenant,
-                JobEventKind::Submitted,
-                depth,
-                0,
+            inner.emit_job(JobEvent {
+                job: id,
+                tenant: &tenant,
+                kind: JobEventKind::Submitted,
+                queue_depth: depth,
+                device: 0,
                 deadline_us,
-                "recovered from journal".into(),
-            );
+                detail: "recovered from journal".into(),
+            });
         }
         // Every slot starts healthy; publishing the gauges up front makes
         // the series visible even on runs with no health transitions.
@@ -862,8 +915,15 @@ impl MorphServe {
                 let depth = st.queue.len() as u64;
                 drop(st);
                 self.inner.note_queue_depth(depth);
-                self.inner
-                    .emit_job(id, &tenant, JobEventKind::Submitted, depth, 0, deadline_us, detail);
+                self.inner.emit_job(JobEvent {
+                    job: id,
+                    tenant: &tenant,
+                    kind: JobEventKind::Submitted,
+                    queue_depth: depth,
+                    device: 0,
+                    deadline_us,
+                    detail,
+                });
                 self.inner.work.notify_one();
                 Ok(id)
             }
@@ -871,15 +931,15 @@ impl MorphServe {
                 let (job, err) = *bounced;
                 let depth = st.queue.len() as u64;
                 drop(st);
-                self.inner.emit_job(
-                    id,
-                    &tenant,
-                    JobEventKind::Rejected,
-                    depth,
-                    0,
+                self.inner.emit_job(JobEvent {
+                    job: id,
+                    tenant: &tenant,
+                    kind: JobEventKind::Rejected,
+                    queue_depth: depth,
+                    device: 0,
                     deadline_us,
-                    err.to_string(),
-                );
+                    detail: err.to_string(),
+                });
                 Err((job.spec, err))
             }
         }
@@ -892,27 +952,8 @@ impl MorphServe {
     pub fn cancel(&self, id: JobId) -> bool {
         let mut st = self.inner.state.lock().unwrap();
         if let Some(job) = st.queue.remove(id) {
-            self.inner.journal(JournalRecord::Cancelled { job: id });
-            st.statuses.insert(id, JobStatus::Cancelled);
-            // A user cancel is no SLO sample, but the row still closes.
-            self.inner.note_terminal(&mut st, id, None);
-            let depth = st.queue.len() as u64;
-            let tenant = job.spec.tenant.clone();
-            drop(st);
-            self.inner.note_queue_depth(depth);
-            if let Some(store) = &self.inner.checkpoints {
-                store.discard(id);
-            }
-            self.inner.emit_job(
-                id,
-                &tenant,
-                JobEventKind::Cancelled,
-                depth,
-                0,
-                job.deadline_us,
-                "cancelled while queued".into(),
-            );
-            self.inner.done.notify_all();
+            let detail = "cancelled while queued".into();
+            self.inner.terminate(st, &job, 0, JobStatus::Cancelled, detail);
             return true;
         }
         if let Some(tok) = st.running.get(&id).map(|e| e.cancel.clone()) {
@@ -1158,42 +1199,16 @@ fn shed_expired(inner: &Arc<Inner>, job: &Job, device: u64, phase: &str) -> bool
     if job.deadline_us == 0 || inner.now_us() < job.deadline_us {
         return false;
     }
-    let id = job.id;
-    let tenant = job.spec.tenant.clone();
     let detail = format!("shed: deadline expired {phase}");
-    inner.journal(JournalRecord::Failed {
-        job: id,
-        permanent: true,
-    });
     let mut st = inner.state.lock().unwrap();
-    st.cancel_requested.remove(&id);
-    st.evicting.remove(&id);
-    st.statuses.insert(
-        id,
-        JobStatus::Failed {
-            attempts: job.attempts,
-            error: detail.clone(),
-            permanent: true,
-        },
-    );
-    let slo = inner.note_terminal(&mut st, id, Some(false));
-    let depth = st.queue.len() as u64;
-    drop(st);
-    inner.note_queue_depth(depth);
-    inner.observe_slo(slo);
-    if let Some(store) = &inner.checkpoints {
-        store.discard(id);
-    }
-    inner.emit_job(
-        id,
-        &tenant,
-        JobEventKind::Failed,
-        depth,
-        device,
-        job.deadline_us,
-        detail,
-    );
-    inner.done.notify_all();
+    st.cancel_requested.remove(&job.id);
+    st.evicting.remove(&job.id);
+    let status = JobStatus::Failed {
+        attempts: job.attempts,
+        error: detail.clone(),
+        permanent: true,
+    };
+    inner.terminate(st, job, device, status, detail);
     true
 }
 
@@ -1249,36 +1264,12 @@ fn evict(
                 job.evictions
             )
         };
-        inner.journal(JournalRecord::Failed {
-            job: id,
+        let status = JobStatus::Failed {
+            attempts: job.attempts,
+            error: detail.clone(),
             permanent: expired,
-        });
-        st.statuses.insert(
-            id,
-            JobStatus::Failed {
-                attempts: job.attempts,
-                error: detail.clone(),
-                permanent: expired,
-            },
-        );
-        let slo = inner.note_terminal(&mut st, id, Some(false));
-        let depth = st.queue.len() as u64;
-        drop(st);
-        inner.note_queue_depth(depth);
-        inner.observe_slo(slo);
-        if let Some(store) = &inner.checkpoints {
-            store.discard(id);
-        }
-        inner.emit_job(
-            id,
-            &tenant,
-            JobEventKind::Failed,
-            depth,
-            device,
-            job.deadline_us,
-            detail,
-        );
-        inner.done.notify_all();
+        };
+        inner.terminate(st, &job, device, status, detail);
         return;
     }
 
@@ -1317,7 +1308,15 @@ fn evict(
     inner
         .tracer
         .emit(move || TraceEvent::Eviction { job: id, device, reason: r, t_us });
-    inner.emit_job(id, &tenant, JobEventKind::Requeued, depth, device, 0, detail);
+    inner.emit_job(JobEvent {
+        job: id,
+        tenant: &tenant,
+        kind: JobEventKind::Requeued,
+        queue_depth: depth,
+        device,
+        deadline_us: 0,
+        detail,
+    });
     // Wake every worker: the evicted job avoids this slot, so the pick
     // must come from another one when it exists.
     inner.work.notify_all();
@@ -1366,15 +1365,17 @@ fn run_one(inner: &Arc<Inner>, device: u64, mut job: Job) {
         device,
         attempt: attempt as u64,
     });
-    inner.emit_job(
-        id,
-        &tenant,
-        JobEventKind::Scheduled,
-        depth,
+    // The three start-of-run lifecycle events differ in kind and detail only.
+    let start_event = |kind, detail| JobEvent {
+        job: id,
+        tenant: &tenant,
+        kind,
+        queue_depth: depth,
         device,
-        job.deadline_us,
-        format!("attempt {attempt}"),
-    );
+        deadline_us: job.deadline_us,
+        detail,
+    };
+    inner.emit_job(start_event(JobEventKind::Scheduled, format!("attempt {attempt}")));
     let hub = MetricsHub::new(Arc::clone(&inner.metrics))
         .with_label("tenant", &tenant)
         .with_label("algo", job.spec.workload.algo());
@@ -1386,30 +1387,17 @@ fn run_one(inner: &Arc<Inner>, device: u64, mut job: Job) {
         ) {
             c.inc();
         }
-        inner.emit_job(
-            id,
-            &tenant,
+        inner.emit_job(start_event(
             JobEventKind::Resumed,
-            depth,
-            device,
-            job.deadline_us,
             format!(
                 "from v{} after iteration {} ({} bytes)",
                 ck.version,
                 ck.iteration,
                 ck.payload.len()
             ),
-        );
+        ));
     }
-    inner.emit_job(
-        id,
-        &tenant,
-        JobEventKind::Started,
-        depth,
-        device,
-        job.deadline_us,
-        job.spec.workload.encode(),
-    );
+    inner.emit_job(start_event(JobEventKind::Started, job.spec.workload.encode()));
 
     let checkpoint = inner.checkpoints.as_ref().map(|store| {
         CheckpointCtl::new(Arc::clone(store), id)
@@ -1456,32 +1444,15 @@ fn run_one(inner: &Arc<Inner>, device: u64, mut job: Job) {
 
     match outcome {
         Ok(metrics) => {
-            inner.journal(JournalRecord::Finished { job: id });
             slot_ok(inner, &mut st, device);
-            st.statuses.insert(id, JobStatus::Finished { metrics });
-            let slo = inner.note_terminal(&mut st, id, Some(true));
-            let depth = st.queue.len() as u64;
-            drop(st);
-            inner.note_queue_depth(depth);
-            inner.observe_slo(slo);
-            if let Some(store) = &inner.checkpoints {
-                store.discard(id);
-            }
-            inner.emit_job(
-                id,
-                &tenant,
-                JobEventKind::Finished,
-                depth,
-                device,
-                job.deadline_us,
-                format!(
-                    "{}: {} iterations, {} items, {} retries",
-                    job.spec.workload.algo(),
-                    metrics.iterations,
-                    metrics.work_items,
-                    metrics.retries
-                ),
+            let detail = format!(
+                "{}: {} iterations, {} items, {} retries",
+                job.spec.workload.algo(),
+                metrics.iterations,
+                metrics.work_items,
+                metrics.retries
             );
+            inner.terminate(st, &job, device, JobStatus::Finished { metrics }, detail);
         }
         Err(err) => {
             let lost = matches!(
@@ -1498,24 +1469,7 @@ fn run_one(inner: &Arc<Inner>, device: u64, mut job: Job) {
             }
             match classify(&err) {
                 FailureClass::Cancelled => {
-                    inner.journal(JournalRecord::Cancelled { job: id });
-                    st.statuses.insert(id, JobStatus::Cancelled);
-                    inner.note_terminal(&mut st, id, None);
-                    let depth = st.queue.len() as u64;
-                    drop(st);
-                    inner.note_queue_depth(depth);
-                    if let Some(store) = &inner.checkpoints {
-                        store.discard(id);
-                    }
-                    inner.emit_job(
-                        id,
-                        &tenant,
-                        JobEventKind::Cancelled,
-                        depth,
-                        device,
-                        job.deadline_us,
-                        err.to_string(),
-                    );
+                    inner.terminate(st, &job, device, JobStatus::Cancelled, err.to_string());
                 }
                 FailureClass::Retryable
                     if attempt < job.spec.retry.max_attempts
@@ -1540,18 +1494,16 @@ fn run_one(inner: &Arc<Inner>, device: u64, mut job: Job) {
                     let depth = st.queue.len() as u64;
                     drop(st);
                     inner.note_queue_depth(depth);
-                    inner.emit_job(
-                        id,
-                        &tenant,
-                        JobEventKind::Requeued,
-                        depth,
+                    inner.emit_job(JobEvent {
+                        job: id,
+                        tenant: &tenant,
+                        kind: JobEventKind::Requeued,
+                        queue_depth: depth,
                         device,
-                        0,
+                        deadline_us: 0,
                         detail,
-                    );
+                    });
                     inner.work.notify_one();
-                    // Not terminal: skip the `done` notification below.
-                    return;
                 }
                 FailureClass::Retryable
                     if job.deadline_us != 0 && inner.now_us() >= job.deadline_us =>
@@ -1560,75 +1512,29 @@ fn run_one(inner: &Arc<Inner>, device: u64, mut job: Job) {
                     // remain, but the deadline is gone — shed instead of
                     // burning more device time.
                     let detail = format!("shed: deadline expired at requeue ({err})");
-                    inner.journal(JournalRecord::Failed {
-                        job: id,
+                    let status = JobStatus::Failed {
+                        attempts: attempt,
+                        error: detail.clone(),
                         permanent: true,
-                    });
-                    st.statuses.insert(
-                        id,
-                        JobStatus::Failed {
-                            attempts: attempt,
-                            error: detail.clone(),
-                            permanent: true,
-                        },
-                    );
-                    let slo = inner.note_terminal(&mut st, id, Some(false));
-                    let depth = st.queue.len() as u64;
-                    drop(st);
-                    inner.note_queue_depth(depth);
-                    inner.observe_slo(slo);
-                    if let Some(store) = &inner.checkpoints {
-                        store.discard(id);
-                    }
-                    inner.emit_job(
-                        id,
-                        &tenant,
-                        JobEventKind::Failed,
-                        depth,
-                        device,
-                        job.deadline_us,
-                        detail,
-                    );
+                    };
+                    inner.terminate(st, &job, device, status, detail);
                 }
                 class => {
                     let permanent = class == FailureClass::Permanent;
-                    inner.journal(JournalRecord::Failed {
-                        job: id,
+                    let status = JobStatus::Failed {
+                        attempts: attempt,
+                        error: err.to_string(),
                         permanent,
-                    });
-                    st.statuses.insert(
-                        id,
-                        JobStatus::Failed {
-                            attempts: attempt,
-                            error: err.to_string(),
-                            permanent,
-                        },
+                    };
+                    let detail = format!(
+                        "{} after {attempt} attempt(s): {err}",
+                        if permanent { "permanent" } else { "retries exhausted" }
                     );
-                    let slo = inner.note_terminal(&mut st, id, Some(false));
-                    let depth = st.queue.len() as u64;
-                    drop(st);
-                    inner.note_queue_depth(depth);
-                    inner.observe_slo(slo);
-                    if let Some(store) = &inner.checkpoints {
-                        store.discard(id);
-                    }
-                    inner.emit_job(
-                        id,
-                        &tenant,
-                        JobEventKind::Failed,
-                        depth,
-                        device,
-                        job.deadline_us,
-                        format!(
-                            "{} after {attempt} attempt(s): {err}",
-                            if permanent { "permanent" } else { "retries exhausted" }
-                        ),
-                    );
+                    inner.terminate(st, &job, device, status, detail);
                 }
             }
         }
     }
-    inner.done.notify_all();
 }
 
 #[cfg(test)]

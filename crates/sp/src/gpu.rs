@@ -123,10 +123,10 @@ pub fn try_propagate(
         barrier: BarrierKind::SenseReversing,
     });
     recovery.arm(&mut gpu);
-    if gpu.lens().is_enabled() {
-        gpu.lens().register("sp.var_cache", VAR_CACHE_BASE, fg.num_vars * 8);
-        gpu.lens().register("sp.surveys", SURVEYS_BASE, fg.num_edge_slots() * 8);
-        gpu.lens().register("sp.delta", DELTA_BASE, 8);
+    if gpu.observers().lens.is_enabled() {
+        gpu.observers().lens.register("sp.var_cache", VAR_CACHE_BASE, fg.num_vars * 8);
+        gpu.observers().lens.register("sp.surveys", SURVEYS_BASE, fg.num_edge_slots() * 8);
+        gpu.observers().lens.register("sp.delta", DELTA_BASE, 8);
     }
     let max_sweeps = max_sweeps.max(1);
     let mut sweeps = 0usize;
@@ -162,9 +162,9 @@ pub fn try_propagate(
         // Per-sweep convergence marker: the max survey change this sweep
         // (the series that decides the `delta < eps` exit below), plus the
         // live-clause count (shrinks as the solver decimates).
-        if gpu.tracer().enabled() {
+        if gpu.observers().tracer.enabled() {
             let sweep = sweeps as u64 - 1;
-            gpu.tracer().emit(|| TraceEvent::AlgoIteration {
+            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
                 algo: "sp".into(),
                 iteration: sweep,
                 metric: "max_delta".into(),
@@ -173,7 +173,7 @@ pub fn try_propagate(
             let live = (0..fg.num_clauses)
                 .filter(|&a| !fg.clause_deleted.is_deleted(a as u32))
                 .count();
-            gpu.tracer().emit(|| TraceEvent::AlgoIteration {
+            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
                 algo: "sp".into(),
                 iteration: sweep,
                 metric: "live_clauses".into(),
@@ -190,7 +190,7 @@ pub fn try_propagate(
         // still-free variables — the state decimation relies on.
         #[cfg(feature = "morph-check")]
         if oracle.due(_ctx, &action) {
-            morph_core::report_oracle(gpu.tracer(), "oracle.sp.surveys", sp_oracle(fg, s));
+            morph_core::report_oracle(&gpu.observers().tracer, "oracle.sp.surveys", sp_oracle(fg, s));
         }
         // Iteration boundary: the surveys are quiescent. Snapshot them if
         // a checkpoint is due (the payload closure never runs when no
@@ -198,7 +198,7 @@ pub fn try_propagate(
         if let Some(ck) = &recovery.checkpoint {
             let sweep = sweeps as u64 - 1;
             if action != HostAction::Stop && ck.due(sweep) {
-                ck.save(gpu.tracer(), "sp", sweep, || encode_sp_checkpoint(fg, s, sweeps));
+                ck.save(&gpu.observers().tracer, "sp", sweep, || encode_sp_checkpoint(fg, s, sweeps));
             }
         }
         Ok(StepReport {
