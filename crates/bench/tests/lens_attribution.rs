@@ -90,6 +90,63 @@ fn mst_traffic_is_attributed() {
     assert_attributed("mst");
 }
 
+/// Every launch's lens cells conserve its cost-model totals: accesses and
+/// atomic serialization split exactly across structures, and a segment
+/// shared by two structures is paid once by each, so transactions can only
+/// grow.
+#[test]
+fn lens_cells_conserve_every_launch_total() {
+    use std::collections::BTreeMap;
+
+    for algo in ["dmr", "sp", "pta", "mst"] {
+        let sink = Arc::new(RingSink::new(1 << 20));
+        let recovery = RecoveryOpts {
+            tracer: Tracer::new(Arc::clone(&sink) as _),
+            lens: LensHub::enabled(),
+            ..RecoveryOpts::default()
+        };
+        drive(algo, &recovery);
+        assert_eq!(sink.dropped(), 0, "{algo}: ring sink overflowed");
+        // launch → (Σ accesses, Σ transactions, Σ atomic_serial) per side.
+        let mut cells: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
+        let mut totals: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
+        for e in sink.events() {
+            let (launch, add, side) = match e {
+                TraceEvent::Lens {
+                    launch,
+                    accesses,
+                    transactions,
+                    atomic_serial,
+                    ..
+                } => (launch, [accesses, transactions, atomic_serial], &mut cells),
+                TraceEvent::LaunchEnd {
+                    launch, totals: t, ..
+                } => (
+                    launch,
+                    [t.gmem_accesses, t.gmem_transactions, t.atomic_serial],
+                    &mut totals,
+                ),
+                _ => continue,
+            };
+            let sum = side.entry(launch).or_default();
+            for (s, a) in sum.iter_mut().zip(add) {
+                *s += a;
+            }
+        }
+        assert!(!totals.is_empty(), "{algo}: no launches traced");
+        for (launch, [accesses, transactions, serial]) in totals {
+            let [lens_accesses, lens_transactions, lens_serial] =
+                cells.get(&launch).copied().unwrap_or_default();
+            assert_eq!(lens_accesses, accesses, "{algo} launch {launch}: accesses");
+            assert_eq!(lens_serial, serial, "{algo} launch {launch}: atomic_serial");
+            assert!(
+                lens_transactions >= transactions,
+                "{algo} launch {launch}: {lens_transactions} lens transactions < {transactions}"
+            );
+        }
+    }
+}
+
 /// With both a tracer and the lens armed, per-launch `Lens` cells land
 /// in the trace stream (schema v6) and carry the registered structure
 /// names.

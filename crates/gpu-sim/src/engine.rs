@@ -32,7 +32,7 @@ use crate::costmodel::{WarpScore, WarpTape};
 use crate::counters::{LaunchStats, WorkerCounters};
 use crate::fault::FaultPlan;
 use crate::kernel::{Kernel, ThreadCtx};
-use crate::lens::LensHub;
+use crate::lens::{LensCells, LensHub};
 use morph_metrics::MetricsHub;
 use morph_trace::{CountersSnapshot, ProfilerScope, TraceEvent, Tracer};
 use morph_tune::AutoTuner;
@@ -319,7 +319,7 @@ impl Observers {
 
 /// One launch as its observers see it. Exists only when
 /// [`Observers::needs_tape`]; called at launch begin, per scored warp, at
-/// each phase barrier and at launch end or abort.
+/// each phase barrier, as each worker leaves and at launch end or abort.
 struct LaunchObs<'a> {
     on: &'a Observers,
     /// This GPU's observed-launch sequence number (the trace's launch id).
@@ -328,6 +328,9 @@ struct LaunchObs<'a> {
     /// consumes phase spans.
     accums: Vec<PhaseAccum>,
     warp_metrics: Option<WarpMetrics>,
+    /// Zeroed lens cells over the launch's snapshot of the region index,
+    /// cloned into every worker's tape; `None` without a lens.
+    lens: Option<LensCells>,
 }
 
 impl<'a> LaunchObs<'a> {
@@ -346,6 +349,7 @@ impl<'a> LaunchObs<'a> {
             launch: seq.fetch_add(1, Ordering::Relaxed),
             accums: (0..spanned).map(|_| PhaseAccum::default()).collect(),
             warp_metrics: on.metrics.enabled().then(|| WarpMetrics::new(&on.metrics)),
+            lens: on.lens.launch_cells(phases),
         };
         on.tracer.emit(|| TraceEvent::LaunchBegin {
             launch: obs.launch,
@@ -357,14 +361,9 @@ impl<'a> LaunchObs<'a> {
     }
 
     /// Warp scored: drain one warp's tape into the worker's cost-model
-    /// counters, the lens cells and the per-warp distributions.
+    /// counters, its lens cells and the per-warp distributions.
     fn warp_scored(&self, phase: usize, tape: &WarpTape, warp_size: usize, c: &mut WorkerCounters) {
-        // Attribution must read the tape before scoring: scoring sorts
-        // the atomics in place and drains everything.
-        if self.on.lens.is_enabled() {
-            tape.with_contents(|gmem, atomics| self.on.lens.attribute(phase as u64, gmem, atomics));
-        }
-        let score = tape.score_and_clear(warp_size);
+        let score = tape.score_and_clear(phase, warp_size);
         c.gmem_accesses += score.gmem_accesses;
         c.gmem_transactions += score.gmem_transactions;
         c.smem_accesses += score.smem_accesses;
@@ -403,6 +402,14 @@ impl<'a> LaunchObs<'a> {
             wall_us,
             delta,
         });
+    }
+
+    /// Worker left the launch, finished or unwound: its lens cells join
+    /// the hub's totals and pending delta under the worker's one lock.
+    fn worker_left(&self, tape: WarpTape) {
+        if let Some(cells) = tape.into_lens() {
+            self.on.lens.merge(&cells);
+        }
     }
 
     /// Launch end (`completed` carries the stats) or abort (`None`): close
@@ -714,10 +721,17 @@ fn run_contained<K: Kernel + ?Sized>(
 ) -> Result<WorkerCounters, Option<LaunchError>> {
     let mut counters = WorkerCounters::default();
     let progress = Cell::new(Progress::default());
-    catch_unwind(AssertUnwindSafe(|| {
-        run_worker(kernel, l, worker, &mut counters, &progress)
-    }))
-    .map_err(|payload| classify_failure(worker, progress.get(), payload, l.watchdog))?;
+    // The cost-model tape records memory accesses on observed launches
+    // only; detached ones skip both the allocation and the per-access
+    // pushes.
+    let tape = l.obs.map(|o| WarpTape::new(o.lens.clone()));
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        run_worker(kernel, l, worker, &mut counters, &progress, tape.as_ref())
+    }));
+    if let (Some(o), Some(t)) = (l.obs, tape) {
+        o.worker_left(t);
+    }
+    run.map_err(|payload| classify_failure(worker, progress.get(), payload, l.watchdog))?;
     Ok(counters)
 }
 
@@ -729,14 +743,11 @@ fn run_worker<K: Kernel + ?Sized>(
     worker: usize,
     counters: &mut WorkerCounters,
     progress: &Cell<Progress>,
+    tape: Option<&WarpTape>,
 ) {
     let my_blocks: Vec<usize> = (worker..l.cfg.blocks).step_by(l.workers).collect();
     let my_vthreads = my_blocks.len() * l.cfg.threads_per_block;
 
-    // The cost-model tape records memory accesses on observed launches
-    // only; detached ones skip both the allocation and the per-access
-    // pushes.
-    let tape = l.obs.map(|_| WarpTape::new());
     // What this worker last published to the phase accumulators, so each
     // barrier publishes a per-phase delta.
     let mut published = CountersSnapshot::default();
@@ -758,7 +769,7 @@ fn run_worker<K: Kernel + ?Sized>(
         }
         for &block in &my_blocks {
             progress.set(Progress { phase, block });
-            run_block_phase(kernel, l, block, phase, counters, tape.as_ref());
+            run_block_phase(kernel, l, block, phase, counters, tape);
         }
         counters.barriers += 1;
         if let Some(o) = l.obs {
@@ -1598,6 +1609,59 @@ mod tests {
             lens_accesses(1),
             totals.gmem_accesses,
             "the retry's lens rows cover the retry's traffic and nothing else"
+        );
+    }
+
+    #[test]
+    fn an_aborted_launch_keeps_its_scored_warps_in_the_cumulative_lens_totals() {
+        let lens = LensHub::enabled();
+        let mut gpu = VirtualGpu::new(metered_cfg(1));
+        gpu.set_observers(Observers {
+            lens: lens.clone(),
+            ..Observers::default()
+        });
+        gpu.set_fault_plan(Arc::new(FaultPlan::new().with_kernel_panic(0, 1, 2, 5)));
+        let k = Metered {
+            hits: AtomicU32Slice::new(1, 0),
+        };
+        assert!(gpu.try_launch(&k).is_err());
+        let retry = gpu.try_launch(&k).expect("the fault fires once");
+        let total: u64 = lens.snapshot().rows.iter().map(|r| r.accesses).sum();
+        // Phase 0 ran whole (64 lanes × 2 accesses); in phase 1 blocks 0
+        // and 1 were scored (8 active lanes × 2 each) before block 2's
+        // first warp died unscored. The unwinding worker still merged.
+        assert_eq!(total - retry.gmem_accesses, 128 + 2 * 16);
+    }
+
+    #[test]
+    fn a_lensed_launch_locks_the_hub_once_per_worker_plus_begin_and_end() {
+        let lens = LensHub::enabled();
+        lens.register("metered.gmem", 0x1000, 0x8000);
+        let workers = 2;
+        let mut gpu = VirtualGpu::new(GpuConfig {
+            blocks: 64,
+            threads_per_block: 64,
+            ..metered_cfg(workers)
+        });
+        gpu.set_observers(Observers {
+            lens: lens.clone(),
+            ..Observers::default()
+        });
+        let before = lens.lock_count();
+        let stats = gpu.launch(&Metered {
+            hits: AtomicU32Slice::new(1, 0),
+        });
+        let locks = lens.lock_count() - before;
+        assert!(stats.warps >= 1000, "{} warps", stats.warps);
+        assert!(
+            locks <= workers as u64 + 2,
+            "{locks} hub locks for {} warps",
+            stats.warps
+        );
+        let attributed: u64 = lens.snapshot().rows.iter().map(|r| r.accesses).sum();
+        assert_eq!(
+            attributed, stats.gmem_accesses,
+            "every warp still reached the hub"
         );
     }
 

@@ -6,7 +6,7 @@
 //! dimension: pipelines register each device structure (worklists,
 //! chunk arenas, bitmaps, mesh/survey/component arrays) as a named
 //! logical address range, and the engine buckets every metered access
-//! per **phase × structure** before the tape is scored. A bounded
+//! per **phase × structure** as the tape is scored. A bounded
 //! top-K hot-address table keeps the worst atomic pile-ups by address,
 //! so "the worklist tail word is the bottleneck" is a measurement, not
 //! a guess.
@@ -16,6 +16,13 @@
 //! operation on it is a branch on a `None` — no allocation, no lock,
 //! no metering. It is attached with the other observers
 //! ([`crate::engine::Observers`]).
+//!
+//! The hub's lock stays out of the warp loop: a launch copies the region
+//! index once ([`LensHub::launch_cells`]), each worker charges its warps
+//! into its own dense [`LensCells`] off the cost model's one sort per
+//! warp ([`crate::costmodel`]) and merges them under one lock as it
+//! leaves the launch, unwinding included ([`LensHub::merge`]): W + 2
+//! hub locks per launch on W workers.
 //!
 //! Traffic whose address falls outside every registered range lands in
 //! the reserved `"unattributed"` bucket. Pipelines register *logical*
@@ -218,11 +225,21 @@ struct CellCounts {
 }
 
 impl CellCounts {
-    fn note_run(&mut self, addr: usize, run: u64) {
+    fn note_run(&mut self, addr: u64, run: u64) {
         if run > self.hot_count {
             self.hot_count = run;
-            self.hot_addr = addr as u64;
+            self.hot_addr = addr;
         }
+    }
+
+    /// Add a worker's cell. Its hot word is its first longest pile-up, so
+    /// `note_run` keeps the word a run-by-run charge would have kept.
+    fn absorb(&mut self, c: &CellCounts) {
+        self.accesses += c.accesses;
+        self.transactions += c.transactions;
+        self.atomic_ops += c.atomic_ops;
+        self.atomic_serial += c.atomic_serial;
+        self.note_run(c.hot_addr, c.hot_count);
     }
 }
 
@@ -243,18 +260,98 @@ struct HotEntry {
     serial: u64,
 }
 
+/// An index entry `(base, limit, id)`, or a walk's last hit `(lo, hi, slot)`.
+type Window = (usize, usize, usize);
+
+/// A same-address atomic run of one warp: `(addr, slot, serial)`.
+type Pileup = (usize, usize, u64);
+
+/// One worker's cells for one launch, indexed by `[phase × slot]` over the
+/// launch's copy of the region index (slot `index.len()` is unattributed),
+/// plus its pile-ups in warp order for the hub's hot table.
+#[derive(Clone)]
+pub(crate) struct LensCells {
+    index: Vec<Window>,
+    cells: Vec<CellCounts>,
+    pileups: Vec<Pileup>,
+}
+
+impl LensCells {
+    fn slots(&self) -> usize {
+        self.index.len() + 1
+    }
+
+    fn id_of(&self, slot: usize) -> usize {
+        self.index.get(slot).map_or(UNATTRIBUTED, |w| w.2)
+    }
+
+    /// The slot of `addr`, through the walk's last hit `(lo, hi, slot)`:
+    /// every address in `[lo, hi)` has that slot, a gap's included.
+    fn resolve(index: &[Window], hit: &mut Window, addr: usize) -> usize {
+        if addr < hit.0 || addr >= hit.1 {
+            let i = index.partition_point(|w| w.0 <= addr);
+            *hit = match i.checked_sub(1).map(|j| (j, index[j])) {
+                Some((j, (base, limit, _))) if addr < limit => (base, limit, j),
+                below => {
+                    let lo = below.map_or(0, |(_, w)| w.1);
+                    (lo, index.get(i).map_or(usize::MAX, |w| w.0), index.len())
+                }
+            };
+        }
+        hit.2
+    }
+
+    /// Charge one warp of `phase` from its plain and atomic addresses
+    /// sorted together, and its atomics sorted. A window is one interval,
+    /// so a (slot, segment) change is a new transaction; only
+    /// unattributed, which owns every gap, can revisit a paid segment.
+    pub(crate) fn charge(&mut self, phase: usize, sorted: &[usize], atomics: &[usize]) {
+        let (slots, unattributed) = (self.slots(), self.index.len());
+        let row = &mut self.cells[phase * slots..][..slots];
+        let (mut hit, mut prev, mut unattributed_seg) = ((0, 0, 0), (0, usize::MAX), usize::MAX);
+        for &addr in sorted {
+            let slot = Self::resolve(&self.index, &mut hit, addr);
+            let seg = addr / SEGMENT_BYTES;
+            let fresh = if slot == unattributed {
+                std::mem::replace(&mut unattributed_seg, seg) != seg
+            } else {
+                (slot, seg) != prev
+            };
+            prev = (slot, seg);
+            row[slot].accesses += 1;
+            row[slot].transactions += u64::from(fresh);
+        }
+        for run in atomics.chunk_by(|a, b| a == b) {
+            let (addr, n) = (run[0], run.len() as u64);
+            let slot = Self::resolve(&self.index, &mut hit, addr);
+            let c = &mut row[slot];
+            c.atomic_ops += n;
+            if n > 1 {
+                c.atomic_serial += n - 1;
+                c.note_run(addr as u64, n);
+                self.pileups.push((addr, slot, n - 1));
+            }
+        }
+    }
+}
+
 #[derive(Default)]
 struct LensState {
     /// Registered structures, append-only: a region's index is its
     /// stable id (cells and hot entries reference it), so re-sorting
     /// for lookup must never move entries in this vec.
     regions: Vec<LensRegion>,
-    /// Lookup index over `regions`, sorted by base: `(base, end, id)`.
-    index: Vec<(usize, usize, usize)>,
+    /// Lookup index over `regions`, sorted by base: `(base, limit, id)`.
+    /// `limit` is the region's end clipped to the next indexed base, so
+    /// `[base, limit)` is exactly where an address resolves to `id`.
+    index: Vec<Window>,
     /// (phase, region id) → attribution cell.
     cells: HashMap<(u64, usize), Cell>,
     /// Space-saving top-K of same-address atomic serialization.
     hot: Vec<HotEntry>,
+    /// Times the hub's lock was taken.
+    #[cfg(test)]
+    locks: u64,
 }
 
 impl LensState {
@@ -266,8 +363,10 @@ impl LensState {
             .map(|(id, r)| (r.base, r.base + r.len, id))
             .collect();
         self.index.sort_unstable();
-        // Overlapping registrations silently misattribute traffic (the
-        // lower-based region wins), so the sanitizer build traps on them.
+        // Overlapping registrations silently misattribute traffic (an
+        // address goes to the highest base at or below it, and past that
+        // region's end to nobody, even inside a lower-based region), so
+        // the sanitizer build traps on them.
         #[cfg(feature = "morph-check")]
         for pair in self.index.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
@@ -281,6 +380,9 @@ impl LensState {
                 b.0,
                 b.1,
             );
+        }
+        for i in 1..self.index.len() {
+            self.index[i - 1].1 = self.index[i - 1].1.min(self.index[i].0);
         }
     }
 
@@ -307,68 +409,30 @@ impl LensState {
         self.rebuild_index();
     }
 
-    fn locate(&self, addr: usize) -> usize {
-        let i = self.index.partition_point(|&(base, _, _)| base <= addr);
-        if i > 0 {
-            let (_, end, id) = self.index[i - 1];
-            if addr < end {
-                return id;
-            }
+    /// Zeroed cells for a launch of `phases` phases over the current index.
+    fn launch_cells(&self, phases: usize) -> LensCells {
+        LensCells {
+            index: self.index.clone(),
+            cells: vec![CellCounts::default(); phases * (self.index.len() + 1)],
+            pileups: Vec::new(),
         }
-        UNATTRIBUTED
     }
 
-    fn attribute(&mut self, phase: u64, gmem: &[usize], atomics: &[usize]) {
-        // One warp's tape: bucket each access, then charge coalescing
-        // transactions (distinct 32-byte segments) and atomic
-        // serialization (same-address run lengths) to the same cells
-        // the engine-level score charges them to in aggregate.
-        let mut segments: Vec<(usize, usize)> = Vec::with_capacity(gmem.len() + atomics.len());
-        for &addr in gmem {
-            let id = self.locate(addr);
-            let c = self.cells.entry((phase, id)).or_default();
-            c.total.accesses += 1;
-            c.pending.accesses += 1;
-            segments.push((id, addr / SEGMENT_BYTES));
-        }
-        for &addr in atomics {
-            let id = self.locate(addr);
-            let c = self.cells.entry((phase, id)).or_default();
-            c.total.accesses += 1;
-            c.pending.accesses += 1;
-            c.total.atomic_ops += 1;
-            c.pending.atomic_ops += 1;
-            segments.push((id, addr / SEGMENT_BYTES));
-        }
-        segments.sort_unstable();
-        segments.dedup();
-        for (id, _) in segments {
-            let c = self.cells.entry((phase, id)).or_default();
-            c.total.transactions += 1;
-            c.pending.transactions += 1;
-        }
-        if !atomics.is_empty() {
-            let mut sorted = atomics.to_vec();
-            sorted.sort_unstable();
-            let mut i = 0;
-            while i < sorted.len() {
-                let addr = sorted[i];
-                let mut j = i + 1;
-                while j < sorted.len() && sorted[j] == addr {
-                    j += 1;
-                }
-                let run = (j - i) as u64;
-                if run > 1 {
-                    let id = self.locate(addr);
-                    let c = self.cells.entry((phase, id)).or_default();
-                    c.total.atomic_serial += run - 1;
-                    c.pending.atomic_serial += run - 1;
-                    c.total.note_run(addr, run);
-                    c.pending.note_run(addr, run);
-                    self.note_hot(addr, id, run - 1);
-                }
-                i = j;
+    fn merge(&mut self, local: &LensCells) {
+        let slots = local.slots();
+        for (k, c) in local.cells.iter().enumerate() {
+            if c.accesses == 0 {
+                continue;
             }
+            let cell = self
+                .cells
+                .entry(((k / slots) as u64, local.id_of(k % slots)))
+                .or_default();
+            cell.total.absorb(c);
+            cell.pending.absorb(c);
+        }
+        for &(addr, slot, serial) in &local.pileups {
+            self.note_hot(addr, local.id_of(slot), serial);
         }
     }
 
@@ -484,9 +548,16 @@ impl LensHub {
     }
 
     fn lock(&self) -> Option<std::sync::MutexGuard<'_, LensState>> {
-        self.inner
+        let guard = self
+            .inner
             .as_ref()
-            .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
+            .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()));
+        #[cfg(test)]
+        let guard = guard.map(|mut st| {
+            st.locks += 1;
+            st
+        });
+        guard
     }
 
     /// Register (or re-register, e.g. after a regrow moved or extended
@@ -501,12 +572,18 @@ impl LensHub {
         }
     }
 
-    /// Bucket one warp's drained tape (called by the engine before the
-    /// tape is scored; plain and atomic global addresses arrive exactly
-    /// as recorded).
-    pub(crate) fn attribute(&self, phase: u64, gmem: &[usize], atomics: &[usize]) {
+    /// Zeroed worker-local cells for one launch of `phases` phases over a
+    /// snapshot of the region index (`None` when disabled). Regions
+    /// registered while the launch runs count from the next launch on.
+    pub(crate) fn launch_cells(&self, phases: usize) -> Option<LensCells> {
+        self.lock().map(|st| st.launch_cells(phases))
+    }
+
+    /// Fold one worker's cells into the cumulative totals and the
+    /// pending launch delta, and replay its pile-ups into the hot table.
+    pub(crate) fn merge(&self, cells: &LensCells) {
         if let Some(mut st) = self.lock() {
-            st.attribute(phase, gmem, atomics);
+            st.merge(cells);
         }
     }
 
@@ -591,13 +668,177 @@ impl std::fmt::Debug for LensHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costmodel::{WarpScore, WarpTape};
+    use proptest::prelude::*;
+
+    impl LensHub {
+        /// Times the hub's lock was taken; reading it takes no lock of
+        /// its own that counts.
+        pub(crate) fn lock_count(&self) -> u64 {
+            self.inner.as_ref().map_or(0, |m| m.lock().unwrap().locks)
+        }
+    }
+
+    /// The per-access algorithm the worker-local cells replaced, kept as
+    /// the reference they must reproduce: a binary search and a map entry
+    /// per access, a sorted `(region, segment)` list per warp.
+    impl LensState {
+        fn locate(&self, addr: usize) -> usize {
+            let mut index: Vec<(usize, usize, usize)> = (self.regions.iter().enumerate())
+                .map(|(id, r)| (r.base, r.base + r.len, id))
+                .collect();
+            index.sort_unstable();
+            let i = index.partition_point(|&(base, _, _)| base <= addr);
+            if i > 0 {
+                let (_, end, id) = index[i - 1];
+                if addr < end {
+                    return id;
+                }
+            }
+            UNATTRIBUTED
+        }
+
+        fn attribute_reference(&mut self, phase: u64, gmem: &[usize], atomics: &[usize]) {
+            let mut segments: Vec<(usize, usize)> = Vec::new();
+            for (i, &addr) in gmem.iter().chain(atomics).enumerate() {
+                let id = self.locate(addr);
+                let atomic = u64::from(i >= gmem.len());
+                let c = self.cells.entry((phase, id)).or_default();
+                for counts in [&mut c.total, &mut c.pending] {
+                    counts.accesses += 1;
+                    counts.atomic_ops += atomic;
+                }
+                segments.push((id, addr / SEGMENT_BYTES));
+            }
+            segments.sort_unstable();
+            segments.dedup();
+            for (id, _) in segments {
+                let c = self.cells.entry((phase, id)).or_default();
+                c.total.transactions += 1;
+                c.pending.transactions += 1;
+            }
+            let mut sorted = atomics.to_vec();
+            sorted.sort_unstable();
+            for run in sorted.chunk_by(|a, b| a == b) {
+                let (addr, n) = (run[0], run.len() as u64);
+                if n > 1 {
+                    let id = self.locate(addr);
+                    let c = self.cells.entry((phase, id)).or_default();
+                    for counts in [&mut c.total, &mut c.pending] {
+                        counts.atomic_serial += n - 1;
+                        counts.note_run(addr as u64, n);
+                    }
+                    self.note_hot(addr, id, n - 1);
+                }
+            }
+        }
+    }
+
+    /// Record one warp on `tape` and score it as the engine does.
+    fn score_warp(tape: &WarpTape, phase: usize, gmem: &[usize], atomics: &[usize]) -> WarpScore {
+        gmem.iter().for_each(|&a| tape.record_global(a));
+        atomics.iter().for_each(|&a| tape.record_atomic(a));
+        tape.score_and_clear(phase, 32)
+    }
+
+    /// A one-warp launch through the engine's metering path: snapshot,
+    /// worker-local cells, merge.
+    fn meter(hub: &LensHub, phase: u64, gmem: &[usize], atomics: &[usize]) {
+        let tape = WarpTape::new(hub.launch_cells(phase as usize + 1));
+        score_warp(&tape, phase as usize, gmem, atomics);
+        if let Some(cells) = tape.into_lens() {
+            hub.merge(&cells);
+        }
+    }
+
+    /// On overlapping windows an address belongs to the region with the
+    /// highest base at or below it, and past that region's end to nobody,
+    /// even inside a lower-based region. A walk cache keyed on A's whole
+    /// range would hand 0x1600 and 0x1fff to A.
+    #[cfg(not(feature = "morph-check"))]
+    #[test]
+    fn overlapping_windows_resolve_to_the_highest_base_at_or_below() {
+        let hub = LensHub::enabled();
+        hub.register("a", 0x1000, 0x1000);
+        hub.register("b", 0x1400, 0x100);
+        {
+            let st = hub.lock().unwrap();
+            let (a, b) = (0, 1);
+            let got = [0x1000, 0x1450, 0x1600, 0x1fff].map(|x| st.locate(x));
+            assert_eq!(got, [a, b, UNATTRIBUTED, UNATTRIBUTED]);
+        }
+        meter(&hub, 0, &[0x1000, 0x1450, 0x1600, 0x1fff], &[]);
+        let snap = hub.snapshot();
+        let row = |name: &str| snap.rows.iter().find(|r| r.region == name).unwrap();
+        assert_eq!(row("a").accesses, 1);
+        assert_eq!(row("b").accesses, 1);
+        assert_eq!(row(LENS_UNATTRIBUTED).accesses, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Worker-local cells reproduce the per-access reference: the
+        /// warp score, the cumulative rows and hot table, and each
+        /// launch's drained rows. Windows start and end off the 32-byte
+        /// grid, so segments straddle structures, and nest or leave gaps
+        /// (overlaps are dropped under `morph-check`, which traps them).
+        #[test]
+        fn lens_cells_match_the_per_access_reference(
+            layout in prop::collection::vec((0usize..24, 1usize..16), 0..6),
+            warps in prop::collection::vec(
+                (
+                    0usize..3,
+                    prop::collection::vec(0usize..80, 0..24),
+                    prop::collection::vec(0usize..40, 0..32),
+                ),
+                0..16,
+            ),
+            split in 0usize..16,
+        ) {
+            let (cells_hub, reference) = (LensHub::enabled(), LensHub::enabled());
+            let mut placed: Vec<(usize, usize)> = Vec::new();
+            for (b, l) in layout {
+                let (base, len) = (0x1000 + 12 * b, 4 * l);
+                let overlaps = placed.iter().any(|&(pb, pl)| base < pb + pl && pb < base + len);
+                if cfg!(feature = "morph-check") && overlaps {
+                    continue;
+                }
+                let name = format!("r{}", placed.len());
+                placed.push((base, len));
+                cells_hub.register(&name, base, len);
+                reference.register(&name, base, len);
+            }
+            let split = split.min(warps.len());
+            for launch in [&warps[..split], &warps[split..]] {
+                let tape = WarpTape::new(cells_hub.launch_cells(3));
+                let detached = WarpTape::new(None);
+                for (phase, gmem, atomics) in launch {
+                    let gmem: Vec<usize> = gmem.iter().map(|a| 0x1000 + 4 * a).collect();
+                    let atomics: Vec<usize> = atomics.iter().map(|a| 0x1000 + 8 * a).collect();
+                    let score = score_warp(&tape, *phase, &gmem, &atomics);
+                    prop_assert_eq!(score, score_warp(&detached, *phase, &gmem, &atomics));
+                    let segments: std::collections::BTreeSet<usize> =
+                        gmem.iter().chain(&atomics).map(|a| a / SEGMENT_BYTES).collect();
+                    let distinct: std::collections::BTreeSet<&usize> = atomics.iter().collect();
+                    prop_assert_eq!(score.gmem_transactions, segments.len() as u64);
+                    prop_assert_eq!(score.atomic_serial, (atomics.len() - distinct.len()) as u64);
+                    reference.lock().unwrap().attribute_reference(*phase as u64, &gmem, &atomics);
+                }
+                cells_hub.merge(&tape.into_lens().unwrap());
+                let (got, want) = (cells_hub.snapshot(), reference.snapshot());
+                prop_assert_eq!(&got.rows, &want.rows);
+                prop_assert_eq!(&got.hot, &want.hot);
+                prop_assert_eq!(cells_hub.drain_launch(), reference.drain_launch());
+            }
+        }
+    }
 
     #[test]
     fn disabled_hub_is_inert() {
         let hub = LensHub::disabled();
         assert!(!hub.is_enabled());
         hub.register("x", 0x1000, 64);
-        hub.attribute(0, &[0x1000], &[0x1000]);
+        meter(&hub, 0, &[0x1000], &[0x1000]);
         assert!(hub.drain_launch().is_empty());
         assert!(hub.snapshot().rows.is_empty());
         assert!(!LensHub::default().is_enabled());
@@ -610,7 +851,12 @@ mod tests {
         hub.register("arena", 0x2000, 0x100);
         // One warp: 4 coalesced worklist loads (one segment), 2 arena
         // atomics on one word, one stray unregistered load.
-        hub.attribute(1, &[0x1000, 0x1004, 0x1008, 0x100c, 0x9999], &[0x2000, 0x2000]);
+        meter(
+            &hub,
+            1,
+            &[0x1000, 0x1004, 0x1008, 0x100c, 0x9999],
+            &[0x2000, 0x2000],
+        );
         let snap = hub.snapshot();
         assert_eq!(snap.rows.len(), 3);
         let row = |name: &str| snap.rows.iter().find(|r| r.region == name).unwrap();
@@ -634,7 +880,7 @@ mod tests {
     fn boundary_addresses_attribute_half_open() {
         let hub = LensHub::enabled();
         hub.register("a", 0x1000, 0x10);
-        hub.attribute(0, &[0x0fff, 0x1000, 0x100f, 0x1010], &[]);
+        meter(&hub, 0, &[0x0fff, 0x1000, 0x100f, 0x1010], &[]);
         let snap = hub.snapshot();
         let a = snap.rows.iter().find(|r| r.region == "a").unwrap();
         assert_eq!(a.accesses, 2);
@@ -650,10 +896,10 @@ mod tests {
     fn reregistering_a_name_moves_the_range_and_keeps_history() {
         let hub = LensHub::enabled();
         hub.register("arena", 0x1000, 0x10);
-        hub.attribute(0, &[0x1000], &[]);
+        meter(&hub, 0, &[0x1000], &[]);
         // Regrow: the arena doubles and (logically) relocates.
         hub.register("arena", 0x8000, 0x20);
-        hub.attribute(0, &[0x8010], &[]);
+        meter(&hub, 0, &[0x8010], &[]);
         let snap = hub.snapshot();
         assert_eq!(snap.regions.len(), 1);
         assert_eq!(snap.regions[0].base, 0x8000);
@@ -666,12 +912,12 @@ mod tests {
     fn drain_launch_returns_deltas_and_clears_them() {
         let hub = LensHub::enabled();
         hub.register("w", 0x1000, 0x100);
-        hub.attribute(0, &[0x1000], &[]);
+        meter(&hub, 0, &[0x1000], &[]);
         let first = hub.drain_launch();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].accesses, 1);
         assert!(hub.drain_launch().is_empty(), "pending cleared");
-        hub.attribute(0, &[0x1004, 0x1008], &[]);
+        meter(&hub, 0, &[0x1004, 0x1008], &[]);
         let second = hub.drain_launch();
         assert_eq!(second[0].accesses, 2, "only the new launch's traffic");
         // Cumulative totals are untouched by draining.
@@ -685,13 +931,13 @@ mod tests {
         hub.register("r", 0, 1 << 30);
         // 2·K distinct contended addresses, each with one serialized step.
         for i in 0..(2 * LENS_HOT_K) {
-            hub.attribute(0, &[], &[i * 64, i * 64]);
+            meter(&hub, 0, &[], &[i * 64, i * 64]);
         }
         let snap = hub.snapshot();
         assert_eq!(snap.hot.len(), LENS_HOT_K, "table stays bounded");
         // A genuinely hot address dominates the summary.
         let hot = vec![7usize * 64; 9];
-        hub.attribute(0, &[], &hot);
+        meter(&hub, 0, &[], &hot);
         let snap = hub.snapshot();
         assert_eq!(snap.hot[0].addr, 7 * 64);
         assert!(snap.hot[0].serial >= 8);
@@ -701,7 +947,12 @@ mod tests {
     fn render_and_json_carry_the_rows() {
         let hub = LensHub::enabled();
         hub.register("sp.surveys", 0x4000_0000_0000, 0x1000);
-        hub.attribute(2, &[0x4000_0000_0008], &[0x4000_0000_0008, 0x4000_0000_0008]);
+        meter(
+            &hub,
+            2,
+            &[0x4000_0000_0008],
+            &[0x4000_0000_0008, 0x4000_0000_0008],
+        );
         let snap = hub.snapshot();
         let table = snap.render_table();
         assert!(table.contains("sp.surveys"), "{table}");
@@ -728,7 +979,7 @@ mod tests {
         let hub = LensHub::enabled();
         hub.register("mst.components", 0x1000, 0x100);
         hub.register("mst.components", 0x1000, 0x40);
-        hub.attribute(0, &[0x10f8], &[]);
+        meter(&hub, 0, &[0x10f8], &[]);
         let snap = hub.snapshot();
         assert_eq!(snap.regions[0].len, 0x100, "window kept its max extent");
         assert!(snap.rows.iter().all(|r| r.region != LENS_UNATTRIBUTED));
