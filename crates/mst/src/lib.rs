@@ -16,15 +16,11 @@
 //!   components (§5), which also keeps the original adjacency lists.
 //!
 //! [`kruskal`] is the verification oracle: all implementations must match
-//! its forest weight (MST weight is unique even under ties). [`hybrid`]
-//! implements the switch the paper alludes to ("many parallel MST
-//! implementations begin with Boruvka's algorithm but switch algorithms
-//! as the graph becomes dense"): Boruvka rounds, then a Kruskal endgame.
+//! its forest weight (MST weight is unique even under ties).
 
 pub mod component_cpu;
 pub mod edge_merge;
 pub mod gpu;
-pub mod hybrid;
 pub mod kruskal;
 
 /// Result of an MST computation.

@@ -13,14 +13,10 @@
 //! * [`gpu`] — the paper's design: bulk-synchronous **two-phase**
 //!   (add-edges / propagate) **pull-based** kernels, with per-node
 //!   incoming-edge lists allocated kernel-side in chunks
-//!   ([`morph_graph::ChunkedAdjacency`], §7.1 Kernel-Only),
-//! * [`cycle_elim`] — serial solver with **online cycle elimination**, the
-//!   CPU-side optimisation the paper notes its baselines perform but its
-//!   GPU code omits (§8.3).
+//!   ([`morph_graph::ChunkedAdjacency`], §7.1 Kernel-Only).
 
 pub mod constraints;
 pub mod cpu;
-pub mod cycle_elim;
 pub mod gpu;
 pub mod serial;
 
@@ -46,7 +42,7 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-        /// All four solvers compute the same fixed point on arbitrary
+        /// All three solvers compute the same fixed point on arbitrary
         /// constraint sets.
         #[test]
         fn solvers_agree(cons in prop::collection::vec(arb_constraint(24), 0..80)) {
@@ -57,7 +53,6 @@ mod proptests {
             let want = serial::solve(&prob);
             prop_assert_eq!(&cpu::solve(&prob, 3), &want);
             prop_assert_eq!(&gpu::solve(&prob, 3), &want);
-            prop_assert_eq!(&cycle_elim::solve(&prob), &want);
         }
 
         /// The fixed point is monotone: adding constraints never shrinks
