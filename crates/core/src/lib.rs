@@ -16,6 +16,7 @@
 //! | §7.6 thread-divergence reduction by compaction | [`compact`] |
 //! | §6.4 push- vs. pull-based propagation | [`propagate`] |
 //! | Fig. 3 host do–while driver | [`runtime`] |
+//! | one pipeline contract around that driver | [`pipeline`] |
 //!
 //! The four algorithm crates (`morph-dmr`, `morph-sp`, `morph-pta`,
 //! `morph-mst`) are built from these pieces.
@@ -26,6 +27,7 @@ pub mod checkpoint;
 pub mod compact;
 pub mod conflict;
 pub mod deletion;
+pub mod pipeline;
 pub mod propagate;
 pub mod runtime;
 pub mod worklist;
@@ -45,10 +47,9 @@ pub use morph_gpu_sim::{MetricsHub, MetricsRegistry, MetricsSnapshot};
 // Re-exported so pipelines and serving code can attach / consult the
 // autotuner without depending on morph-tune directly.
 pub use morph_tune::{AutoTuner, ConflictPolicy, Controller, TuneConfig, TuneDecision, TuneInput};
+pub use pipeline::{run_morph, Morph};
 pub use runtime::{
-    drive_recovering, DriveError, DriveOutcome, HostAction, OracleGate, RecoveryOpts,
-    RecoveryPolicy, RescueLevel, StepCtx, StepReport,
+    drive_recovering, DriveError, DriveOutcome, HostAction, RecoveryOpts, RecoveryPolicy,
+    RescueLevel, StepCtx, StepReport,
 };
-#[cfg(feature = "morph-check")]
-pub use runtime::report_oracle;
 pub use worklist::{GlobalWorklist, WorklistFull};

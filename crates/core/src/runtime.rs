@@ -106,8 +106,8 @@ pub struct RecoveryOpts {
     /// handle (a job scheduler, a signal handler) gets the device back with
     /// quiescent buffers. Cloning `RecoveryOpts` shares the token.
     pub cancel: CancelToken,
-    /// Checkpoint control for this run. `None` (the default) means the
-    /// pipeline never builds a snapshot payload.
+    /// Checkpoint control for this run. `None` (the default) means
+    /// [`crate::run_morph`] never builds a snapshot payload.
     pub checkpoint: Option<CheckpointCtl>,
     /// Progress heartbeat shared with an external watchdog: each completed
     /// launch beats, and so does [`drive_recovering`] at every host-action
@@ -123,8 +123,8 @@ pub struct RecoveryOpts {
     /// [`TuneDecision`]s (geometry, conflict policy, compaction/reordering
     /// requests) instead.
     pub tuner: AutoTuner,
-    /// morph-lens attribution hub. When enabled, pipelines register their
-    /// device structures' logical address windows on it.
+    /// morph-lens attribution hub. When enabled, [`crate::run_morph`]
+    /// registers each pipeline's device structures on it.
     pub lens: LensHub,
 }
 
@@ -132,8 +132,8 @@ impl RecoveryOpts {
     /// Arm a freshly built GPU with everything these options carry for
     /// it: the fault plan, the barrier watchdog and every observer
     /// (tracer, metrics hub, profiler scope, tuner, lens hub, heartbeat,
-    /// cancellation token). The checkpoint control stays with the
-    /// pipeline.
+    /// cancellation token). The checkpoint control stays with
+    /// [`crate::run_morph`].
     pub fn arm(&self, gpu: &mut VirtualGpu) {
         if let Some(plan) = &self.fault_plan {
             gpu.set_fault_plan(Arc::clone(plan));
@@ -613,62 +613,6 @@ pub fn drive_recovering(
                 capacity: 0,
                 detail: String::new(),
             });
-        }
-    }
-}
-
-/// Decides *when* a pipeline's end-state oracle should run during a
-/// [`drive_recovering`] loop: after every recovery escalation (the first
-/// step at a new rescue level — the retried/relaid-out state is exactly
-/// where recycling and ownership bugs surface) and at completion
-/// ([`HostAction::Stop`]).
-///
-/// Pipelines track one gate inside their step callback; the callback
-/// already holds the mutable borrow of the algorithm state the oracle needs
-/// to inspect, so the gate lives there rather than in the driver.
-#[derive(Debug, Default)]
-pub struct OracleGate {
-    last_rescue: Option<RescueLevel>,
-}
-
-impl OracleGate {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Should the oracle run for this step? Call exactly once per step,
-    /// after the step has computed its `action`.
-    pub fn due(&mut self, ctx: &StepCtx, action: &HostAction) -> bool {
-        let escalated = self.last_rescue.is_some_and(|prev| ctx.rescue > prev);
-        self.last_rescue = Some(ctx.rescue);
-        escalated || matches!(action, HostAction::Stop)
-    }
-}
-
-/// Publish an oracle verdict: emit a [`TraceEvent::Sanitizer`] through the
-/// pipeline's tracer and, on violation, flush the trace and trap with the
-/// attributed diagnostic (failing the pipeline the same way an in-kernel
-/// sanitizer trap would).
-#[cfg(feature = "morph-check")]
-pub fn report_oracle(tracer: &Tracer, check: &str, result: Result<(), String>) {
-    match result {
-        Ok(()) => {
-            tracer.emit(|| TraceEvent::Sanitizer {
-                check: check.to_string(),
-                status: "ok".into(),
-                index: 0,
-                detail: String::new(),
-            });
-        }
-        Err(detail) => {
-            tracer.emit(|| TraceEvent::Sanitizer {
-                check: check.to_string(),
-                status: "violation".into(),
-                index: 0,
-                detail: detail.clone(),
-            });
-            tracer.flush();
-            morph_check::fail(check, &detail);
         }
     }
 }

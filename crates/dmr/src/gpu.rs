@@ -20,18 +20,19 @@
 //! "the next iteration can be invoked with just a single thread").
 
 use crate::cavity::{build_cavity, retriangulate, Cavity, CavityOutcome, CavityScratch};
-use crate::mesh::Mesh;
+use crate::mesh::{Mesh, MeshState};
 use crate::opts::DmrOpts;
 use crate::serial::RefineStats;
 use morph_core::addition::GrowthPolicy;
-use morph_core::runtime::{
-    drive_recovering, DriveError, HostAction, RecoveryOpts, RescueLevel, StepReport,
+use morph_core::pipeline::marker;
+use morph_core::runtime::{DriveError, HostAction, RecoveryOpts, RescueLevel, StepCtx, StepReport};
+use morph_core::{
+    run_morph, AdaptiveParallelism, ConflictTable, Morph, PayloadReader, PayloadWriter,
 };
-use morph_core::{AdaptiveParallelism, ConflictTable, PayloadReader, PayloadWriter};
 use morph_geometry::Coord;
 use morph_gpu_sim::kernel::chunk_bounds;
 use morph_gpu_sim::{
-    BlockLocal, GpuConfig, Kernel, LaunchStats, ThreadCtx, TraceEvent, VirtualGpu,
+    BlockLocal, GpuConfig, Kernel, LaunchError, LaunchStats, ThreadCtx, TraceEvent, VirtualGpu,
 };
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Instant;
@@ -310,96 +311,99 @@ pub fn refine_gpu<C: Coord>(mesh: &mut Mesh<C>, opts: DmrOpts, sms: usize) -> Gp
         .unwrap_or_else(|e| panic!("GPU refinement failed: {e}"))
 }
 
-/// Fault-tolerant [`refine_gpu`]: drives the host loop through
-/// `morph_core::runtime::drive_recovering`, so failed launches are
-/// retried (refinement is idempotent over surviving bad triangles — a
-/// retried launch simply re-scans the mesh), allocator overflow regrows
-/// capacity without losing the iteration, and livelock escalates
-/// reshuffle → serial → error.
-pub fn try_refine_gpu<C: Coord>(
-    mesh: &mut Mesh<C>,
+/// Refinement as a [`Morph`] pipeline: one launch per host iteration.
+struct DmrMorph<'a, C: Coord> {
+    mesh: &'a mut Mesh<C>,
     opts: DmrOpts,
     sms: usize,
-    recovery: &RecoveryOpts,
-) -> Result<GpuRefineOutcome, DriveError> {
-    let start = Instant::now();
-    if opts.layout_opt {
-        mesh.reorder_for_locality();
-    }
+    /// Triangle slots before the run; sizes on-demand regrows.
+    initial: usize,
+    /// Sized by [`Morph::config`] from the (possibly restored) mesh.
+    conflict: ConflictTable,
+    state: BlockLocal<BlockState<C>>,
+    stats: RefineStats,
+}
 
-    let initial = mesh.num_slots();
-    if !opts.on_demand_alloc {
-        // §7.1 pre-allocation: one big provision up front.
-        mesh.grow_tris(initial * 10 + 1024);
-        mesh.grow_verts(mesh.num_verts() * 6 + 1024);
-    } else {
-        mesh.grow_tris(initial + initial / 4 + 256);
-        mesh.grow_verts(mesh.num_verts() + mesh.num_verts() / 4 + 256);
-    }
-
-    // Resume from the newest checkpoint, if one exists for this job: the
-    // decoded arrays overwrite the freshly-built mesh (growing it as
-    // needed), so an evicted refinement continues from its last iteration
-    // boundary on a different slot.
-    let mut stats = RefineStats::default();
-    let mut iterations_base = 0u64;
-    if let Some(ck) = &recovery.checkpoint {
-        if let Some(saved) = ck.resume("dmr") {
-            if let Some(done) = decode_dmr_checkpoint(&saved.payload, mesh, &mut stats) {
-                iterations_base = done;
-            }
+impl<'a, C: Coord> DmrMorph<'a, C> {
+    /// Lay out and provision `mesh` for the run (§6.1, §7.1).
+    fn new(mesh: &'a mut Mesh<C>, opts: DmrOpts, sms: usize) -> Self {
+        if opts.layout_opt {
+            mesh.reorder_for_locality();
+        }
+        let initial = mesh.num_slots();
+        if !opts.on_demand_alloc {
+            // §7.1 pre-allocation: one big provision up front.
+            mesh.grow_tris(initial * 10 + 1024);
+            mesh.grow_verts(mesh.num_verts() * 6 + 1024);
+        } else {
+            mesh.grow_tris(initial + initial / 4 + 256);
+            mesh.grow_verts(mesh.num_verts() + mesh.num_verts() / 4 + 256);
+        }
+        Self {
+            initial,
+            mesh,
+            opts,
+            sms,
+            conflict: ConflictTable::new(0),
+            state: BlockLocal::new(0, |_| BlockState::new()),
+            stats: RefineStats::default(),
         }
     }
+}
 
-    let blocks = AdaptiveParallelism::blocks_for_input(sms, mesh.num_slots(), 1024);
-    let sched = AdaptiveParallelism {
-        initial_tpb: opts.base_tpb,
-        growth_iters: if opts.adaptive { 3 } else { 0 },
-        max_tpb: 1024,
-    };
-    let mut conflict = ConflictTable::new(mesh.tri_capacity());
-    let mut gpu = VirtualGpu::new(GpuConfig {
-        num_sms: sms,
-        warp_size: 32,
-        blocks,
-        threads_per_block: opts.base_tpb,
-        barrier: opts.barrier,
-    });
-    recovery.arm(&mut gpu);
-    // Name the device structures for per-structure attribution. Extents
-    // track capacity, so a regrow re-registers below.
-    let register_lens = |gpu: &VirtualGpu, mesh: &Mesh<C>, conflict: &ConflictTable| {
-        if !gpu.observers().lens.is_enabled() {
-            return;
-        }
-        for (name, base, len) in mesh.lens_regions() {
-            gpu.observers().lens.register(name, base, len);
-        }
-        gpu.observers().lens.register("dmr.conflict", CONFLICT_DEV_BASE, conflict.len() * 4);
-    };
-    register_lens(&gpu, mesh, &conflict);
-    let state: BlockLocal<BlockState<C>> = BlockLocal::new(blocks, |_| BlockState::new());
+impl<C: Coord> Morph for DmrMorph<'_, C> {
+    const ALGO: &'static str = "dmr";
+    /// `"DM"` + layout version.
+    const TAG: u32 = 0x444d_0001;
+    const CHECK: &'static str = "oracle.dmr.end_state";
+    /// The host-accumulated refine/freeze counters and the full device
+    /// mesh (see [`Mesh::encode_state`]). The conflict table and
+    /// block-local scratch are per-launch state, rebuilt on resume.
+    type Snapshot = (u64, u64, MeshState);
 
-    #[cfg(feature = "morph-check")]
-    let mut oracle = morph_core::OracleGate::new();
+    fn config(&mut self) -> (GpuConfig, Option<AdaptiveParallelism>) {
+        let blocks = AdaptiveParallelism::blocks_for_input(self.sms, self.mesh.num_slots(), 1024);
+        self.conflict = ConflictTable::new(self.mesh.tri_capacity());
+        self.state = BlockLocal::new(blocks, |_| BlockState::new());
+        let sched = AdaptiveParallelism {
+            initial_tpb: self.opts.base_tpb,
+            growth_iters: if self.opts.adaptive { 3 } else { 0 },
+            max_tpb: 1024,
+        };
+        let config = GpuConfig {
+            num_sms: self.sms,
+            warp_size: 32,
+            blocks,
+            threads_per_block: self.opts.base_tpb,
+            barrier: self.opts.barrier,
+        };
+        (config, Some(sched))
+    }
 
-    let outcome = drive_recovering(&mut gpu, Some(sched), &recovery.policy, |gpu, ctx| {
-        if let Some(cap) = ctx.regrow_to {
-            // §7.1 Kernel-Host: the kernel reported exhaustion; the host
-            // reallocates sized by the current bad count.
-            mesh.alloc.clear_overflow();
-            let bad = mesh.bad_triangles().len();
-            mesh.grow_tris(cap);
-            mesh.grow_verts(mesh.num_verts() + bad.max(64) * 2);
-            conflict.grow(mesh.tri_capacity());
-            register_lens(gpu, mesh, &conflict);
-        }
+    fn lens_regions(&self) -> Vec<(&'static str, usize, usize)> {
+        let mut regions = self.mesh.lens_regions().to_vec();
+        regions.push(("dmr.conflict", CONFLICT_DEV_BASE, self.conflict.len() * 4));
+        regions
+    }
+
+    /// §7.1 Kernel-Host: the kernel reported exhaustion; the host
+    /// reallocates sized by the current bad count.
+    fn regrow(&mut self, capacity: usize) {
+        self.mesh.alloc.clear_overflow();
+        let bad = self.mesh.bad_triangles().len();
+        self.mesh.grow_tris(capacity);
+        self.mesh.grow_verts(self.mesh.num_verts() + bad.max(64) * 2);
+        self.conflict.grow(self.mesh.tri_capacity());
+    }
+
+    fn step(&mut self, gpu: &mut VirtualGpu, ctx: &StepCtx) -> Result<StepReport, LaunchError> {
         match ctx.rescue {
             // Perturb the priority order so a repeating winner pattern
             // breaks up; restore the paper's order once progress resumes.
-            RescueLevel::Reshuffle => conflict
+            RescueLevel::Reshuffle => self
+                .conflict
                 .reshuffle_priorities(((ctx.iteration as u32).wrapping_mul(0x9E37_79B9) >> 1) | 1),
-            RescueLevel::None => conflict.reshuffle_priorities(0),
+            RescueLevel::None => self.conflict.reshuffle_priorities(0),
             RescueLevel::Serial => {}
         }
 
@@ -409,14 +413,15 @@ pub fn try_refine_gpu<C: Coord>(
         // block-level queue compaction instead. The static switch still
         // acts as a master enable so ablation rows without compaction stay
         // comparable under `--autotune`.
-        let mut step_opts = opts;
+        let mut step_opts = self.opts;
         if let Some(d) = ctx.tune {
-            step_opts.divergence_sort = opts.divergence_sort && d.compact;
+            step_opts.divergence_sort = self.opts.divergence_sort && d.compact;
         }
+        let mesh = &*self.mesh;
         let kernel = RefineKernel {
             mesh,
-            conflict: &conflict,
-            state: &state,
+            conflict: &self.conflict,
+            state: &self.state,
             opts: step_opts,
             slots_hint: mesh.num_slots(),
             changed: AtomicBool::new(false),
@@ -431,55 +436,22 @@ pub fn try_refine_gpu<C: Coord>(
             || mesh.vert_overflowed();
         let refined = kernel.refined.load(Ordering::Acquire) as u64;
         let frozen = kernel.frozen.load(Ordering::Acquire) as u64;
-        stats.refined += refined;
-        stats.frozen += frozen;
-
-        // Algorithm-level markers (the paper's "bad triangles remaining"
-        // curve) plus the triangle-pool high-water mark. The mesh scan is
-        // metering-only work, so it is gated on an attached sink.
-        if gpu.observers().tracer.enabled() {
-            let bad = mesh.bad_triangles().len();
-            let iteration = ctx.iteration;
-            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
-                algo: "dmr".into(),
-                iteration,
-                metric: "bad_triangles".into(),
-                value: bad as f64,
-            });
-            gpu.observers().tracer.emit(|| TraceEvent::Alloc {
-                name: "dmr.tri_pool".into(),
-                used: mesh.alloc.len() as u64,
-                capacity: mesh.alloc.capacity() as u64,
-            });
-        }
+        self.stats.refined += refined;
+        self.stats.frozen += frozen;
 
         let action = if overflow {
             let bad = mesh.bad_triangles().len();
             let policy = GrowthPolicy::OnDemand { over_alloc: 1.5 };
-            HostAction::Regrow(policy.plan_capacity(initial, mesh.num_slots(), bad.max(64) * 8))
+            HostAction::Regrow(policy.plan_capacity(
+                self.initial,
+                mesh.num_slots(),
+                bad.max(64) * 8,
+            ))
         } else if changed {
             HostAction::Continue
         } else {
             HostAction::Stop
         };
-        // End-state oracle (§6.1): adjacency must stay mutually consistent
-        // with no deleted-slot references at every recovery escalation, and
-        // at completion no bad triangle may remain.
-        #[cfg(feature = "morph-check")]
-        if oracle.due(ctx, &action) {
-            let done = action == HostAction::Stop;
-            morph_core::report_oracle(&gpu.observers().tracer, "oracle.dmr.end_state", mesh.validate(done));
-        }
-        // Iteration boundary: all device arrays are quiescent. Snapshot
-        // if due (the payload closure never runs without an attached
-        // store).
-        if let Some(ck) = &recovery.checkpoint {
-            if action != HostAction::Stop && ck.due(ctx.iteration) {
-                ck.save(&gpu.observers().tracer, "dmr", ctx.iteration, || {
-                    encode_dmr_checkpoint(mesh, &stats, iterations_base + ctx.iteration + 1)
-                });
-            }
-        }
         Ok(StepReport {
             stats: launch,
             // A regrow is itself progress; only commit-free, overflow-free
@@ -487,59 +459,79 @@ pub fn try_refine_gpu<C: Coord>(
             progressed: refined > 0 || frozen > 0 || overflow,
             action,
         })
-    })?;
+    }
 
+    /// The paper's "bad triangles remaining" curve plus the triangle-pool
+    /// high-water mark, on every step (a regrow step's too).
+    fn markers(&self, iteration: u64, _action: HostAction) -> Vec<TraceEvent> {
+        vec![
+            marker::<Self>(
+                iteration,
+                "bad_triangles",
+                self.mesh.bad_triangles().len() as f64,
+            ),
+            TraceEvent::Alloc {
+                name: "dmr.tri_pool".into(),
+                used: self.mesh.alloc.len() as u64,
+                capacity: self.mesh.alloc.capacity() as u64,
+            },
+        ]
+    }
+
+    /// §6.1: adjacency must stay mutually consistent with no deleted-slot
+    /// references at every recovery escalation, and at completion no bad
+    /// triangle may remain.
+    #[cfg(feature = "morph-check")]
+    fn oracle(&mut self, done: bool) -> Option<Result<(), String>> {
+        Some(self.mesh.validate(done))
+    }
+
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.stats.refined);
+        w.u64(self.stats.frozen);
+        self.mesh.encode_state(w);
+    }
+
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Option<Self::Snapshot> {
+        Some((r.u64()?, r.u64()?, Mesh::<C>::read_state(r)?))
+    }
+
+    /// The mesh is overwritten, so an evicted refinement continues from its
+    /// last iteration boundary on a freshly built mesh.
+    fn restore(&mut self, (refined, frozen, state): Self::Snapshot, _completed: u64) {
+        self.mesh.apply_state(state);
+        self.stats.refined = refined;
+        self.stats.frozen = frozen;
+    }
+}
+
+/// Fault-tolerant [`refine_gpu`]: drives the host loop through
+/// [`morph_core::run_morph`], so failed launches are retried (refinement
+/// is idempotent over surviving bad triangles — a retried launch simply
+/// re-scans the mesh), allocator overflow regrows capacity without losing
+/// the iteration, and livelock escalates reshuffle → serial → error.
+pub fn try_refine_gpu<C: Coord>(
+    mesh: &mut Mesh<C>,
+    opts: DmrOpts,
+    sms: usize,
+    recovery: &RecoveryOpts,
+) -> Result<GpuRefineOutcome, DriveError> {
+    let start = Instant::now();
+    let mut m = DmrMorph::new(mesh, opts, sms);
+    let (outcome, base) = run_morph(&mut m, recovery)?;
+
+    let mut stats = m.stats;
     stats.aborted = outcome.stats.aborts;
     stats.wall = start.elapsed();
     Ok(GpuRefineOutcome {
         stats,
-        launch: outcome.stats.clone(),
-        iterations: iterations_base + outcome.iterations,
+        launch: outcome.stats,
+        iterations: base + outcome.iterations,
         rescues: outcome.rescues as u64,
         retries: outcome.retries,
         regrows: outcome.regrows,
-        peak_tri_capacity: mesh.tri_capacity(),
+        peak_tri_capacity: m.mesh.tri_capacity(),
     })
-}
-
-/// Checkpoint payload schema tag: `"DM"` + layout version.
-const DMR_CKPT_TAG: u32 = 0x444d_0001;
-
-/// Minimal resume state: the iteration count, the host-accumulated
-/// refine/freeze counters, and the full device mesh (see
-/// [`Mesh::encode_state`]). The conflict table and block-local scratch are
-/// per-launch state and rebuilt from scratch on resume.
-fn encode_dmr_checkpoint<C: Coord>(mesh: &Mesh<C>, stats: &RefineStats, iterations: u64) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.u32(DMR_CKPT_TAG);
-    w.u64(iterations);
-    w.u64(stats.refined);
-    w.u64(stats.frozen);
-    mesh.encode_state(&mut w);
-    w.finish()
-}
-
-/// Decode into `mesh`/`stats`; returns the completed-iteration count, or
-/// `None` (fresh run, mesh untouched) when the payload is foreign.
-fn decode_dmr_checkpoint<C: Coord>(
-    payload: &[u8],
-    mesh: &mut Mesh<C>,
-    stats: &mut RefineStats,
-) -> Option<u64> {
-    let mut r = PayloadReader::new(payload);
-    if r.u32()? != DMR_CKPT_TAG {
-        return None;
-    }
-    let iterations = r.u64()?;
-    let refined = r.u64()?;
-    let frozen = r.u64()?;
-    mesh.decode_state(&mut r)?;
-    if !r.exhausted() {
-        return None;
-    }
-    stats.refined = refined;
-    stats.frozen = frozen;
-    Some(iterations)
 }
 
 #[cfg(test)]
@@ -674,19 +666,31 @@ mod tests {
 
     #[test]
     fn foreign_checkpoint_payload_is_refused() {
+        use morph_core::pipeline::resume;
+
         let mut mesh = random_mesh(50, 5);
         let before = mesh.stats();
-        let mut stats = RefineStats::default();
-        assert_eq!(decode_dmr_checkpoint(&[], &mut mesh, &mut stats), None);
-        assert_eq!(decode_dmr_checkpoint(&[9; 7], &mut mesh, &mut stats), None);
+        let slots = mesh.num_slots();
+        let mut m = DmrMorph::new(&mut mesh, DmrOpts::default(), 1);
+        assert_eq!(resume(&mut m, &[]), None);
+        assert_eq!(resume(&mut m, &[9; 7]), None);
         // Right tag, truncated body.
         let mut w = PayloadWriter::new();
-        w.u32(DMR_CKPT_TAG);
+        w.u32(DmrMorph::<f64>::TAG);
         w.u64(3);
-        let trunc = w.finish();
-        assert_eq!(decode_dmr_checkpoint(&trunc, &mut mesh, &mut stats), None);
+        assert_eq!(resume(&mut m, &w.finish()), None);
+        // A real payload plus one trailing byte.
+        let mut donor = random_mesh(200, 6);
+        let mut w = PayloadWriter::new();
+        w.u32(DmrMorph::<f64>::TAG);
+        w.u64(1);
+        DmrMorph::new(&mut donor, DmrOpts::default(), 1).encode(&mut w);
+        let mut payload = w.finish();
+        payload.push(0);
+        assert_eq!(resume(&mut m, &payload), None);
+        assert_eq!(m.stats.refined, 0);
         assert_eq!(mesh.stats(), before, "no partial mutation");
-        assert_eq!(stats.refined, 0);
+        assert_eq!(mesh.num_slots(), slots);
     }
 
     #[test]

@@ -52,6 +52,13 @@ pub const F_BAD: u32 = 2;
 /// grid resolution). Counted, never refined again.
 pub const F_FROZEN: u32 = 4;
 
+/// A mesh's checkpointed arrays: `(x, y)` per vertex and
+/// `(vertices, neighbors, flags)` per triangle slot.
+pub(crate) struct MeshState {
+    coords: Vec<(f64, f64)>,
+    tris: Vec<([u32; 3], [u32; 3], u32)>,
+}
+
 /// A refinable triangulated mesh in GPU-style storage.
 pub struct Mesh<C: Coord> {
     px: SharedSlice<C>,
@@ -451,10 +458,10 @@ impl<C: Coord> Mesh<C> {
         }
     }
 
-    /// Restore state written by [`encode_state`](Self::encode_state),
-    /// growing storage as needed. The payload is fully validated before
-    /// any mutation: `None` leaves the mesh untouched.
-    pub fn decode_state(&mut self, r: &mut PayloadReader<'_>) -> Option<()> {
+    /// Read and validate state written by
+    /// [`encode_state`](Self::encode_state) without touching any mesh;
+    /// [`apply_state`](Self::apply_state) installs it.
+    pub(crate) fn read_state(r: &mut PayloadReader<'_>) -> Option<MeshState> {
         let nv = r.u64()? as usize;
         let slots = r.u64()? as usize;
         let mut coords = Vec::with_capacity(nv.min(1 << 20));
@@ -468,9 +475,15 @@ impl<C: Coord> Mesh<C> {
             let flags = r.u32()?;
             tris.push((verts, nbrs, flags));
         }
-        self.grow_verts(nv + 16);
-        self.grow_tris(slots + 16);
-        self.nverts.store(nv as u32, Ordering::Release);
+        Some(MeshState { coords, tris })
+    }
+
+    /// Overwrite the mesh with `state`, growing storage as needed.
+    pub(crate) fn apply_state(&mut self, state: MeshState) {
+        let MeshState { coords, tris } = state;
+        self.grow_verts(coords.len() + 16);
+        self.grow_tris(tris.len() + 16);
+        self.nverts.store(coords.len() as u32, Ordering::Release);
         for (v, &(x, y)) in coords.iter().enumerate() {
             self.px.set(v, C::from_f64(x));
             self.py.set(v, C::from_f64(y));
@@ -479,9 +492,9 @@ impl<C: Coord> Mesh<C> {
             self.write_tri(t as u32, verts, nbrs);
             self.flags.store(t, flags);
         }
-        self.alloc = BumpAllocator::new(slots, self.tri_capacity()).with_dev_base(CURSORS_BASE);
+        self.alloc =
+            BumpAllocator::new(tris.len(), self.tri_capacity()).with_dev_base(CURSORS_BASE);
         self.vert_overflow.store(false, Ordering::Release);
-        Some(())
     }
 
     /// Full structural validation (tests): CCW orientation, neighbor-link

@@ -11,21 +11,23 @@
 //! with the number of nodes rather than with the number of edges" — the
 //! property that makes the GPU version win on dense graphs (Fig. 11).
 //!
-//! Rounds are driven launch-per-round by
-//! [`morph_core::runtime::drive_recovering`]. Retrying a half-run round is
-//! safe because every value a `best` slot ever holds is the minimum (under
-//! the weight-then-edge-id total order) edge crossing *some* component cut,
-//! so by the cut property it belongs to the MST no matter when the union
-//! is applied — but stale slots must be cleared before the re-run, since a
-//! stale (already-union-ed) minimum can mask the current component minimum
-//! through the `atomicMin` and stop the round count short.
+//! Rounds are driven launch-per-round by [`morph_core::run_morph`].
+//! Retrying a half-run round is safe because every value a `best` slot
+//! ever holds is the minimum (under the weight-then-edge-id total order)
+//! edge crossing *some* component cut, so by the cut property it belongs
+//! to the MST no matter when the union is applied — but stale slots must
+//! be cleared before the re-run, since a stale (already-union-ed) minimum
+//! can mask the current component minimum through the `atomicMin` and
+//! stop the round count short.
 
 use crate::MstResult;
-use morph_core::runtime::{drive_recovering, DriveError, HostAction, RecoveryOpts, StepReport};
-use morph_core::{AdaptiveParallelism, PayloadReader, PayloadWriter};
+use morph_core::pipeline::marker;
+use morph_core::runtime::{DriveError, HostAction, RecoveryOpts, StepCtx, StepReport};
+use morph_core::{run_morph, AdaptiveParallelism, Morph, PayloadReader, PayloadWriter};
 use morph_graph::{Csr, UnionFind};
 use morph_gpu_sim::{
-    AtomicU64Slice, BarrierKind, GpuConfig, Kernel, LaunchStats, ThreadCtx, TraceEvent, VirtualGpu,
+    AtomicU64Slice, BarrierKind, GpuConfig, Kernel, LaunchError, LaunchStats, ThreadCtx,
+    TraceEvent, VirtualGpu,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -163,6 +165,175 @@ pub fn mst_with_stats(g: &Csr, sms: usize) -> GpuMstOutcome {
         .unwrap_or_else(|e| panic!("GPU MST failed: {e}"))
 }
 
+/// Borůvka as a [`Morph`] pipeline: one launch per round.
+struct MstMorph<'a> {
+    g: &'a Csr,
+    sms: usize,
+    edge_src: Vec<u32>,
+    uf: UnionFind,
+    /// Kernel 1+2 output: per-component minimum inter-component edge.
+    best: AtomicU64Slice,
+    weight: AtomicU64,
+    edges: AtomicUsize,
+    /// The Kruskal forest, computed on the oracle's first run.
+    #[cfg(feature = "morph-check")]
+    reference: Option<MstResult>,
+}
+
+impl<'a> MstMorph<'a> {
+    fn new(g: &'a Csr, sms: usize) -> Self {
+        let n = g.num_nodes();
+        let mut edge_src = vec![0u32; g.num_edges()];
+        for v in 0..n as u32 {
+            for e in g.edge_range(v) {
+                edge_src[e] = v;
+            }
+        }
+        Self {
+            g,
+            sms,
+            edge_src,
+            uf: UnionFind::new(n),
+            best: AtomicU64Slice::new(n, NONE),
+            weight: AtomicU64::new(0),
+            edges: AtomicUsize::new(0),
+            #[cfg(feature = "morph-check")]
+            reference: None,
+        }
+    }
+}
+
+impl Morph for MstMorph<'_> {
+    const ALGO: &'static str = "mst";
+    /// `"MS"` + layout version.
+    const TAG: u32 = 0x4d53_0001;
+    const CHECK: &'static str = "oracle.mst.end_state";
+    /// `(weight, edges, union-find roots)`: with the completed-round count
+    /// they determine the remaining rounds. `best` slots are not saved — a
+    /// resumed run starts them at NONE, the state kernel 4 leaves.
+    type Snapshot = (u64, usize, Vec<u32>);
+
+    fn config(&mut self) -> (GpuConfig, Option<AdaptiveParallelism>) {
+        let n = self.g.num_nodes();
+        let config = GpuConfig {
+            num_sms: self.sms,
+            warp_size: 32,
+            blocks: AdaptiveParallelism::blocks_for_input(self.sms, n, 4096),
+            threads_per_block: 64,
+            barrier: BarrierKind::SenseReversing,
+        };
+        // No schedule: rounds are topology-driven over a shrinking component
+        // forest, with no compaction or layout knob for a tuner to actuate.
+        (config, None)
+    }
+
+    fn lens_regions(&self) -> Vec<(&'static str, usize, usize)> {
+        let n = self.g.num_nodes();
+        vec![
+            ("mst.components", COMPONENTS_BASE, n * 4),
+            ("mst.csr_edges", CSR_EDGES_BASE, self.g.num_edges() * 8),
+            ("mst.best_edges", BEST_BASE, n * 8),
+            ("mst.accumulators", ACCUM_BASE, 16),
+        ]
+    }
+
+    fn step(&mut self, gpu: &mut VirtualGpu, ctx: &StepCtx) -> Result<StepReport, LaunchError> {
+        if ctx.attempt > 0 {
+            // Clear survivors of the failed attempt (kernel 4 may not have
+            // run); see the module docs for why the unions themselves are
+            // safe to keep.
+            for c in 0..self.g.num_nodes() {
+                self.best.store_relaxed(c, NONE);
+            }
+        }
+        let changed = AtomicBool::new(false);
+        let k = BoruvkaKernel {
+            g: self.g,
+            edge_src: &self.edge_src,
+            uf: &self.uf,
+            best: &self.best,
+            weight: &self.weight,
+            edges: &self.edges,
+            changed: &changed,
+        };
+        let stats = gpu.try_launch(&k)?;
+        let action = if changed.load(Ordering::Acquire) {
+            HostAction::Continue
+        } else {
+            HostAction::Stop
+        };
+        Ok(StepReport {
+            stats,
+            action,
+            // A round that merges nothing is the Stop condition, not a
+            // livelock; the rescue ladder is not meaningful here.
+            progressed: true,
+        })
+    }
+
+    /// Components remaining after this round's merges ("the process
+    /// repeats until there is a single component") — the MST analogue of
+    /// the Fig. 2 series.
+    fn markers(&self, iteration: u64, _action: HostAction) -> Vec<TraceEvent> {
+        let components = self.g.num_nodes() as u64 - self.edges.load(Ordering::Acquire) as u64;
+        vec![marker::<Self>(iteration, "components", components as f64)]
+    }
+
+    /// §6.5 spanning-forest oracle. At any point the accepted edge count
+    /// must equal `n − components` (every union adds exactly one tree edge)
+    /// and the accumulated weight can never exceed the Kruskal optimum
+    /// (each accepted edge is a cut-property MST edge); at completion both
+    /// must match the Kruskal reference exactly.
+    #[cfg(feature = "morph-check")]
+    fn oracle(&mut self, done: bool) -> Option<Result<(), String>> {
+        let g = self.g;
+        let n = g.num_nodes();
+        let weight = self.weight.load(Ordering::Acquire);
+        let edges = self.edges.load(Ordering::Acquire);
+        let components = (0..n as u32).filter(|&v| self.uf.find(v) == v).count();
+        if edges != n - components {
+            return Some(Err(format!(
+                "{edges} accepted edges but the union-find splits {n} nodes into {components} \
+                 components; a spanning forest needs {}",
+                n - components
+            )));
+        }
+        let want = self.reference.get_or_insert_with(|| crate::kruskal::mst(g));
+        Some(if weight > want.weight {
+            Err(format!(
+                "accumulated weight {weight} exceeds the Kruskal optimum {}",
+                want.weight
+            ))
+        } else if done && (edges != want.edges || weight != want.weight) {
+            Err(format!(
+                "final forest has {edges} edges / weight {weight}, Kruskal reference has {} / {}",
+                want.edges, want.weight
+            ))
+        } else {
+            Ok(())
+        })
+    }
+
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64(self.weight.load(Ordering::Acquire));
+        w.u64(self.edges.load(Ordering::Acquire) as u64);
+        w.u32_slice(&self.uf.snapshot());
+    }
+
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Option<Self::Snapshot> {
+        let weight = r.u64()?;
+        let edges = r.u64()? as usize;
+        let parents = r.u32_slice()?;
+        (parents.len() == self.uf.len()).then_some((weight, edges, parents))
+    }
+
+    fn restore(&mut self, (weight, edges, parents): Self::Snapshot, _completed: u64) {
+        self.uf.restore(&parents);
+        self.weight.store(weight, Ordering::Release);
+        self.edges.store(edges, Ordering::Release);
+    }
+}
+
 /// Fault-tolerant [`mst_with_stats`]: one launch per Boruvka round under
 /// the recovering driver. On a retry (`attempt > 0`) the host clears every
 /// `best` slot first — unions already applied by the half-run round are
@@ -173,235 +344,24 @@ pub fn try_mst_with_stats(
     sms: usize,
     recovery: &RecoveryOpts,
 ) -> Result<GpuMstOutcome, DriveError> {
-    let n = g.num_nodes();
-    if n == 0 {
+    if g.num_nodes() == 0 {
         return Ok(GpuMstOutcome {
             result: MstResult::default(),
             launch: LaunchStats::default(),
             retries: 0,
         });
     }
-    let mut edge_src = vec![0u32; g.num_edges()];
-    for v in 0..n as u32 {
-        for e in g.edge_range(v) {
-            edge_src[e] = v;
-        }
-    }
-    let uf = UnionFind::new(n);
-    let best = AtomicU64Slice::new(n, NONE);
-    let weight = AtomicU64::new(0);
-    let edges = AtomicUsize::new(0);
-    let blocks = AdaptiveParallelism::blocks_for_input(sms, n, 4096);
-    let mut gpu = VirtualGpu::new(GpuConfig {
-        num_sms: sms,
-        warp_size: 32,
-        blocks,
-        threads_per_block: 64,
-        barrier: BarrierKind::SenseReversing,
-    });
-    recovery.arm(&mut gpu);
-    if gpu.observers().lens.is_enabled() {
-        gpu.observers().lens.register("mst.components", COMPONENTS_BASE, n * 4);
-        gpu.observers().lens.register("mst.csr_edges", CSR_EDGES_BASE, g.num_edges() * 8);
-        gpu.observers().lens.register("mst.best_edges", BEST_BASE, n * 8);
-        gpu.observers().lens.register("mst.accumulators", ACCUM_BASE, 16);
-    }
-
-    // Resume from the newest checkpoint, if one exists for this job: the
-    // union-find partition plus the weight/edge accumulators fully
-    // determine the remaining rounds (`best` slots start fresh at NONE,
-    // exactly as after a completed kernel 4). Rounds already replayed are
-    // credited through `rounds_base`.
-    let mut rounds_base = 0u64;
-    if let Some(ck) = &recovery.checkpoint {
-        if let Some(saved) = ck.resume("mst") {
-            if let Some(done) = decode_mst_checkpoint(&saved.payload, &uf, &weight, &edges) {
-                rounds_base = done;
-            }
-        }
-    }
-
-    #[cfg(feature = "morph-check")]
-    let mut oracle = morph_core::OracleGate::new();
-    #[cfg(feature = "morph-check")]
-    let mut reference: Option<MstResult> = None;
-    // Autotune: Borůvka rounds are topology-driven over a shrinking
-    // component forest with no host-side compaction or layout knob, so an
-    // attached `morph-tune` controller acts purely inside the driver —
-    // serial-pin windows on abort storms, tpb pinned to the configured
-    // value (no schedule ⇒ the controller's band collapses to
-    // `[tpb, tpb]`). `ctx.tune` is populated but the round body has
-    // nothing to actuate.
-    let outcome = drive_recovering(&mut gpu, None, &recovery.policy, |gpu, ctx| {
-        if ctx.attempt > 0 {
-            // Clear survivors of the failed attempt (kernel 4 may not have
-            // run); see the module docs for why the unions themselves are
-            // safe to keep.
-            for c in 0..n {
-                best.store_relaxed(c, NONE);
-            }
-        }
-        let changed = AtomicBool::new(false);
-        let k = BoruvkaKernel {
-            g,
-            edge_src: &edge_src,
-            uf: &uf,
-            best: &best,
-            weight: &weight,
-            edges: &edges,
-            changed: &changed,
-        };
-        let stats = gpu.try_launch(&k)?;
-        // Per-round marker: components remaining after this round's
-        // merges ("the process repeats until there is a single
-        // component") — the MST analogue of the Fig. 2 series.
-        if gpu.observers().tracer.enabled() {
-            let components = n as u64 - edges.load(Ordering::Acquire) as u64;
-            let iteration = ctx.iteration;
-            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
-                algo: "mst".into(),
-                iteration,
-                metric: "components".into(),
-                value: components as f64,
-            });
-        }
-        let action = if changed.load(Ordering::Acquire) {
-            HostAction::Continue
-        } else {
-            HostAction::Stop
-        };
-        // End-state oracle (§6.5): the accepted edges must form a spanning
-        // forest of the union-find partition, and at completion the forest
-        // must match the Kruskal reference exactly.
-        #[cfg(feature = "morph-check")]
-        if oracle.due(ctx, &action) {
-            morph_core::report_oracle(
-                &gpu.observers().tracer,
-                "oracle.mst.end_state",
-                mst_oracle(
-                    g,
-                    &uf,
-                    weight.load(Ordering::Acquire),
-                    edges.load(Ordering::Acquire),
-                    &mut reference,
-                    action == HostAction::Stop,
-                ),
-            );
-        }
-        // Iteration boundary: the round's unions and accumulators are
-        // quiescent and kernel 4 has reset the `best` slots. Snapshot if
-        // due (the payload closure never runs without an attached store).
-        if let Some(ck) = &recovery.checkpoint {
-            if action != HostAction::Stop && ck.due(ctx.iteration) {
-                ck.save(&gpu.observers().tracer, "mst", ctx.iteration, || {
-                    encode_mst_checkpoint(
-                        &uf,
-                        weight.load(Ordering::Acquire),
-                        edges.load(Ordering::Acquire),
-                        rounds_base + ctx.iteration + 1,
-                    )
-                });
-            }
-        }
-        Ok(StepReport {
-            stats,
-            action,
-            // A round that merges nothing is the Stop condition, not a
-            // livelock; the rescue ladder is not meaningful here.
-            progressed: true,
-        })
-    })?;
-
+    let mut m = MstMorph::new(g, sms);
+    let (outcome, base) = run_morph(&mut m, recovery)?;
     Ok(GpuMstOutcome {
         result: MstResult {
-            weight: weight.load(Ordering::Acquire),
-            edges: edges.load(Ordering::Acquire),
-            rounds: (rounds_base + outcome.iterations) as usize,
+            weight: m.weight.load(Ordering::Acquire),
+            edges: m.edges.load(Ordering::Acquire),
+            rounds: (base + outcome.iterations) as usize,
         },
         launch: outcome.stats,
         retries: outcome.retries,
     })
-}
-
-/// Checkpoint payload schema tag: `"MS"` + layout version.
-const MST_CKPT_TAG: u32 = 0x4d53_0001;
-
-/// Minimal resume state: completed-round count, the two accumulators, and
-/// the union-find partition. `best` slots are deliberately absent — a
-/// resumed run starts them fresh at NONE, the same state kernel 4 leaves.
-fn encode_mst_checkpoint(uf: &UnionFind, weight: u64, edges: usize, rounds: u64) -> Vec<u8> {
-    let parents = uf.snapshot();
-    let mut w = PayloadWriter::with_capacity(4 + 8 * 4 + parents.len() * 4);
-    w.u32(MST_CKPT_TAG);
-    w.u64(rounds);
-    w.u64(weight);
-    w.u64(edges as u64);
-    w.u32_slice(&parents);
-    w.finish()
-}
-
-/// Decode into the run's state; returns the completed-round count, or
-/// `None` (fresh run) when the payload is foreign or mis-shaped.
-fn decode_mst_checkpoint(
-    payload: &[u8],
-    uf: &UnionFind,
-    weight: &AtomicU64,
-    edges: &AtomicUsize,
-) -> Option<u64> {
-    let mut r = PayloadReader::new(payload);
-    if r.u32()? != MST_CKPT_TAG {
-        return None;
-    }
-    let rounds = r.u64()?;
-    let w = r.u64()?;
-    let e = r.u64()? as usize;
-    let parents = r.u32_slice()?;
-    if parents.len() != uf.len() || !r.exhausted() {
-        return None;
-    }
-    uf.restore(&parents);
-    weight.store(w, Ordering::Release);
-    edges.store(e, Ordering::Release);
-    Some(rounds)
-}
-
-/// Spanning-forest oracle. At any point the accepted edge count must equal
-/// `n − components` (every union adds exactly one tree edge) and the
-/// accumulated weight can never exceed the Kruskal optimum (each accepted
-/// edge is a cut-property MST edge); at completion both must match the
-/// Kruskal reference exactly.
-#[cfg(feature = "morph-check")]
-fn mst_oracle(
-    g: &Csr,
-    uf: &UnionFind,
-    weight: u64,
-    edges: usize,
-    reference: &mut Option<MstResult>,
-    done: bool,
-) -> Result<(), String> {
-    let n = g.num_nodes();
-    let components = (0..n as u32).filter(|&v| uf.find(v) == v).count();
-    if edges != n - components {
-        return Err(format!(
-            "{edges} accepted edges but the union-find splits {n} nodes into {components} \
-             components; a spanning forest needs {}",
-            n - components
-        ));
-    }
-    let want = reference.get_or_insert_with(|| crate::kruskal::mst(g));
-    if weight > want.weight {
-        return Err(format!(
-            "accumulated weight {weight} exceeds the Kruskal optimum {}",
-            want.weight
-        ));
-    }
-    if done && (edges != want.edges || weight != want.weight) {
-        return Err(format!(
-            "final forest has {edges} edges / weight {weight}, Kruskal reference has {} / {}",
-            want.edges, want.weight
-        ));
-    }
-    Ok(())
 }
 
 /// Minimum spanning forest (result only).
@@ -517,17 +477,21 @@ mod tests {
 
     #[test]
     fn foreign_checkpoint_payload_is_refused() {
-        use std::sync::atomic::{AtomicU64, AtomicUsize};
+        use morph_core::pipeline::resume;
 
-        let uf = UnionFind::new(8);
-        let weight = AtomicU64::new(0);
-        let edges = AtomicUsize::new(0);
-        assert_eq!(decode_mst_checkpoint(&[], &uf, &weight, &edges), None);
+        let g = random_connected(8, 8, 1);
+        let mut m = MstMorph::new(&g, 1);
+        assert_eq!(resume(&mut m, &[]), None);
         // Right tag, wrong partition size.
-        let tiny = UnionFind::new(2);
-        let payload = encode_mst_checkpoint(&tiny, 5, 1, 1);
-        assert_eq!(decode_mst_checkpoint(&payload, &uf, &weight, &edges), None);
-        assert_eq!(weight.load(Ordering::Acquire), 0, "no partial mutation");
+        let tiny = random_connected(2, 0, 1);
+        let donor = MstMorph::new(&tiny, 1);
+        donor.weight.store(5, Ordering::Release);
+        let mut w = PayloadWriter::new();
+        w.u32(MstMorph::TAG);
+        w.u64(1);
+        donor.encode(&mut w);
+        assert_eq!(resume(&mut m, &w.finish()), None);
+        assert_eq!(m.weight.load(Ordering::Acquire), 0, "no partial mutation");
     }
 
     #[test]

@@ -15,20 +15,21 @@
 //!
 //! The chunk arena starts lean and grows under the §7.1 kernel-host
 //! protocol: a denied chunk allocation raises an overflow flag, the host
-//! regrows the arena between launches (via
-//! [`morph_core::runtime::drive_recovering`]) and the next phase-0
-//! constraint re-scan re-derives any dropped edge — safe because the
-//! analysis is monotone.
+//! regrows the arena between launches (via [`morph_core::run_morph`])
+//! and the next phase-0 constraint re-scan re-derives any dropped edge —
+//! safe because the analysis is monotone.
 
 use crate::constraints::{Constraint, PtaProblem};
 use crate::Solution;
 use morph_core::compact::partition_active;
-use morph_core::runtime::{drive_recovering, DriveError, HostAction, RecoveryOpts, StepReport};
-use morph_core::{AdaptiveParallelism, PayloadReader, PayloadWriter};
+use morph_core::pipeline::marker;
+use morph_core::runtime::{DriveError, HostAction, RecoveryOpts, StepCtx, StepReport};
+use morph_core::{run_morph, AdaptiveParallelism, Morph, PayloadReader, PayloadWriter};
 use morph_graph::sparse_bits::AtomicBitmap;
 use morph_graph::ChunkedAdjacency;
 use morph_gpu_sim::{
-    AtomicU32Slice, BarrierKind, GpuConfig, Kernel, LaunchStats, ThreadCtx, TraceEvent, VirtualGpu,
+    AtomicU32Slice, BarrierKind, GpuConfig, Kernel, LaunchError, LaunchStats, ThreadCtx,
+    TraceEvent, VirtualGpu,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -202,134 +203,145 @@ pub fn solve_with(prob: &PtaProblem, opts: PtaOpts, sms: usize) -> GpuSolveOutco
         .unwrap_or_else(|e| panic!("GPU points-to analysis failed: {e}"))
 }
 
-/// Fault-tolerant [`solve_with`] under the recovering driver: failed
-/// launches are retried (safe — the analysis is monotone, so a half-run
-/// kernel only leaves behind valid edges and points-to bits) and chunk-
-/// arena exhaustion triggers a host regrow + re-scan.
-pub fn try_solve_with(
-    prob: &PtaProblem,
+/// The two-phase solver as a [`Morph`] pipeline: one launch per
+/// iteration.
+struct PtaMorph<'a> {
+    prob: &'a PtaProblem,
     opts: PtaOpts,
     sms: usize,
-    recovery: &RecoveryOpts,
-) -> Result<GpuSolveOutcome, DriveError> {
-    let n = prob.num_vars;
-    let pts = AtomicBitmap::new(n, n.max(1));
-    // Start the chunk arena lean (§7.1 kernel-host: "allocate a little
-    // more than half of the available memory…and grow on overflow"): the
-    // recovering driver regrows it on demand, so no worst-case O(n²)
-    // pre-allocation is needed.
-    let max_chunks = n + 64;
-    let mut incoming = ChunkedAdjacency::new(n, opts.chunk_size, max_chunks);
-    let dirty = AtomicU32Slice::new(n, 0);
+    complex: Vec<Constraint>,
+    pts: AtomicBitmap,
+    incoming: ChunkedAdjacency,
+    /// 1 when the node's points-to set changed in the previous iteration.
+    dirty: AtomicU32Slice,
+    /// Node processing order (compacted by the host when enabled).
+    order: AtomicU32Slice,
+    /// The serial fixpoint, computed on the oracle's first run.
+    #[cfg(feature = "morph-check")]
+    reference: Option<Solution>,
+}
 
-    let mut complex: Vec<Constraint> = Vec::new();
-    for &c in &prob.constraints {
-        match c {
-            Constraint::AddressOf { p, q } => {
-                pts.set(p as usize, q);
-                dirty.store_relaxed(p as usize, 1);
-            }
-            Constraint::Copy { p, q } => {
-                if p != q {
-                    // Host-side setup may outgrow the lean arena; regrow
-                    // inline (host code never needs the overflow protocol).
-                    while incoming.try_push(p, q).is_err() {
-                        incoming.clear_overflow();
-                        incoming.grow_chunks(incoming.max_chunks() * 2);
+impl<'a> PtaMorph<'a> {
+    /// Seed the points-to sets from the address-of constraints, build the
+    /// copy edges on the host and keep the loads and stores for phase 0.
+    fn new(prob: &'a PtaProblem, opts: PtaOpts, sms: usize) -> Self {
+        let n = prob.num_vars;
+        let pts = AtomicBitmap::new(n, n.max(1));
+        // Start the chunk arena lean (§7.1 kernel-host: "allocate a little
+        // more than half of the available memory…and grow on overflow"):
+        // the recovering driver regrows it on demand, so no worst-case
+        // O(n²) pre-allocation is needed.
+        let mut incoming = ChunkedAdjacency::new(n, opts.chunk_size, n + 64);
+        let dirty = AtomicU32Slice::new(n, 0);
+        let mut complex: Vec<Constraint> = Vec::new();
+        for &c in &prob.constraints {
+            match c {
+                Constraint::AddressOf { p, q } => {
+                    pts.set(p as usize, q);
+                    dirty.store_relaxed(p as usize, 1);
+                }
+                Constraint::Copy { p, q } => {
+                    if p != q {
+                        // Host-side setup may outgrow the lean arena; regrow
+                        // inline (host code never needs the overflow
+                        // protocol).
+                        while incoming.try_push(p, q).is_err() {
+                            incoming.clear_overflow();
+                            incoming.grow_chunks(incoming.max_chunks() * 2);
+                        }
+                        dirty.store_relaxed(q as usize, 1);
                     }
-                    dirty.store_relaxed(q as usize, 1);
                 }
-            }
-            c => complex.push(c),
-        }
-    }
-
-    // Resume from the newest checkpoint, if one exists for this job: the
-    // points-to bitmap is the entire fixpoint state. Every node is marked
-    // dirty so the first resumed iteration re-pulls everything and phase 0
-    // re-derives any Load/Store edge the snapshot pre-dates — both safe
-    // because the analysis is monotone.
-    let mut iterations_base = 0u64;
-    if let Some(ck) = &recovery.checkpoint {
-        if let Some(saved) = ck.resume("pta") {
-            if let Some(done) = decode_pta_checkpoint(&saved.payload, &pts) {
-                iterations_base = done;
-                for v in 0..n {
-                    dirty.store_relaxed(v, 1);
-                }
+                c => complex.push(c),
             }
         }
-    }
-
-    let order = AtomicU32Slice::from_vec((0..n as u32).collect());
-    let blocks = AdaptiveParallelism::blocks_for_input(sms, n.max(complex.len()), 2048);
-    let sched = if opts.adaptive {
-        AdaptiveParallelism::pta()
-    } else {
-        AdaptiveParallelism::fixed(512)
-    };
-    let mut gpu = VirtualGpu::new(GpuConfig {
-        num_sms: sms,
-        warp_size: 32,
-        blocks,
-        threads_per_block: sched.initial_tpb,
-        barrier: BarrierKind::SenseReversing,
-    });
-    recovery.arm(&mut gpu);
-
-    // Register the solver's device structures with the lens (no-op on the
-    // default disabled hub). The arena window is re-registered after each
-    // regrow since its extent tracks the current capacity.
-    {
-        let (b, l) = pts.dev_extent();
-        recovery.lens.register("pta.pts_bitmap", b, l);
-        let (b, l) = incoming.dev_extent();
-        recovery.lens.register("pta.chunk_arena", b, l);
-        recovery.lens.register("pta.node_order", ORDER_DEV_BASE, n * 4);
-        recovery.lens.register("pta.dirty_worklist", DIRTY_DEV_BASE, n * 4);
-    }
-
-    #[cfg(feature = "morph-check")]
-    let mut oracle = morph_core::OracleGate::new();
-    #[cfg(feature = "morph-check")]
-    let mut reference: Option<Solution> = None;
-    let outcome = drive_recovering(&mut gpu, Some(sched), &recovery.policy, |gpu, ctx| {
-        if let Some(new_max) = ctx.regrow_to {
-            incoming.clear_overflow();
-            incoming.grow_chunks(new_max);
-            let (b, l) = incoming.dev_extent();
-            recovery.lens.register("pta.chunk_arena", b, l);
+        Self {
+            prob,
+            opts,
+            sms,
+            complex,
+            pts,
+            incoming,
+            dirty,
+            order: AtomicU32Slice::from_vec((0..n as u32).collect()),
+            #[cfg(feature = "morph-check")]
+            reference: None,
         }
+    }
+}
+
+impl Morph for PtaMorph<'_> {
+    const ALGO: &'static str = "pta";
+    /// `"PT"` + layout version.
+    const TAG: u32 = 0x5054_0001;
+    const CHECK: &'static str = "oracle.pta.fixpoint";
+    /// The raw points-to words: the whole fixpoint state. Incoming-edge
+    /// lists are not saved — the host rebuilds copy edges and phase 0
+    /// re-derives load/store edges (kernel-only allocation makes them pure
+    /// cache, §7.1).
+    type Snapshot = Vec<u64>;
+
+    fn config(&mut self) -> (GpuConfig, Option<AdaptiveParallelism>) {
+        let n = self.prob.num_vars;
+        let sched = if self.opts.adaptive {
+            AdaptiveParallelism::pta()
+        } else {
+            AdaptiveParallelism::fixed(512)
+        };
+        let config = GpuConfig {
+            num_sms: self.sms,
+            warp_size: 32,
+            blocks: AdaptiveParallelism::blocks_for_input(
+                self.sms,
+                n.max(self.complex.len()),
+                2048,
+            ),
+            threads_per_block: sched.initial_tpb,
+            barrier: BarrierKind::SenseReversing,
+        };
+        (config, Some(sched))
+    }
+
+    fn lens_regions(&self) -> Vec<(&'static str, usize, usize)> {
+        let n = self.prob.num_vars;
+        let (pts_base, pts_len) = self.pts.dev_extent();
+        let (arena_base, arena_len) = self.incoming.dev_extent();
+        vec![
+            ("pta.pts_bitmap", pts_base, pts_len),
+            ("pta.chunk_arena", arena_base, arena_len),
+            ("pta.node_order", ORDER_DEV_BASE, n * 4),
+            ("pta.dirty_worklist", DIRTY_DEV_BASE, n * 4),
+        ]
+    }
+
+    fn regrow(&mut self, capacity: usize) {
+        self.incoming.clear_overflow();
+        self.incoming.grow_chunks(capacity);
+    }
+
+    fn step(&mut self, gpu: &mut VirtualGpu, ctx: &StepCtx) -> Result<StepReport, LaunchError> {
+        let n = self.prob.num_vars;
         let changed = AtomicBool::new(false);
         let denied = AtomicBool::new(false);
         let k = PtaKernel {
-            prob,
-            complex: &complex,
-            pts: &pts,
-            incoming: &incoming,
-            order: &order,
-            dirty: &dirty,
+            prob: self.prob,
+            complex: &self.complex,
+            pts: &self.pts,
+            incoming: &self.incoming,
+            order: &self.order,
+            dirty: &self.dirty,
             changed: &changed,
             denied: &denied,
         };
         let stats = gpu.try_launch(&k)?;
 
-        if incoming.overflowed() || denied.load(Ordering::Acquire) {
+        if self.incoming.overflowed() || denied.load(Ordering::Acquire) {
             // A dropped edge means the iteration is incomplete: regrow and
             // re-run it. Dirty marks are left un-aged so already-published
             // growth stays visible to the re-run.
-            let action = HostAction::Regrow(incoming.max_chunks() * 2);
-            #[cfg(feature = "morph-check")]
-            if oracle.due(ctx, &action) {
-                morph_core::report_oracle(
-                    &gpu.observers().tracer,
-                    "oracle.pta.fixpoint",
-                    pta_oracle(prob, &pts, &mut reference, false),
-                );
-            }
             return Ok(StepReport {
                 stats,
-                action,
+                action: HostAction::Regrow(self.incoming.max_chunks() * 2),
                 progressed: true,
             });
         }
@@ -338,69 +350,30 @@ pub fn try_solve_with(
         // exactly one iteration after its set changed.
         let mut any_dirty = false;
         for v in 0..n {
-            match dirty.load_relaxed(v) {
+            match self.dirty.load_relaxed(v) {
                 2 => {
-                    dirty.store_relaxed(v, 1);
+                    self.dirty.store_relaxed(v, 1);
                     any_dirty = true;
                 }
-                1 => dirty.store_relaxed(v, 0),
+                1 => self.dirty.store_relaxed(v, 0),
                 _ => {}
             }
-        }
-        // Per-iteration markers: how many nodes still have enabled
-        // incoming edges (the §7.6 divergence-sort population) and the
-        // chunk-arena footprint (§7.1 Kernel-Only allocation high water).
-        if gpu.observers().tracer.enabled() {
-            let dirty_nodes = (0..n).filter(|&v| dirty.load_relaxed(v) != 0).count();
-            let iteration = ctx.iteration;
-            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
-                algo: "pta".into(),
-                iteration,
-                metric: "dirty_nodes".into(),
-                value: dirty_nodes as f64,
-            });
-            gpu.observers().tracer.emit(|| TraceEvent::Alloc {
-                name: "pta.chunk_arena".into(),
-                used: incoming.chunks_allocated() as u64,
-                capacity: incoming.max_chunks() as u64,
-            });
         }
         let action = if !changed.load(Ordering::Acquire) && !any_dirty {
             HostAction::Stop
         } else {
             HostAction::Continue
         };
-        // End-state oracle (§6.4): at the fixpoint the points-to sets must
-        // equal the CPU reference; after a recovery escalation the partial
-        // sets must at least be a sound subset of it (monotone analysis).
-        #[cfg(feature = "morph-check")]
-        if oracle.due(ctx, &action) {
-            morph_core::report_oracle(
-                &gpu.observers().tracer,
-                "oracle.pta.fixpoint",
-                pta_oracle(prob, &pts, &mut reference, action == HostAction::Stop),
-            );
-        }
-        // Iteration boundary: the points-to bits are quiescent. Snapshot
-        // if due (the payload closure never runs without an attached
-        // store). Regrow iterations returned early above and are skipped.
-        if let Some(ck) = &recovery.checkpoint {
-            if action != HostAction::Stop && ck.due(ctx.iteration) {
-                ck.save(&gpu.observers().tracer, "pta", ctx.iteration, || {
-                    encode_pta_checkpoint(&pts, iterations_base + ctx.iteration + 1)
-                });
-            }
-        }
         // §7.6: nodes with enabled incoming edges to one side. Untuned,
         // this runs every iteration; under an attached autotuner it runs
         // only when the controller requests a layout fix (its reorder /
         // compact flags), so well-coalesced iterations skip the sort.
         let reorder_due = ctx.tune.is_none_or(|d| d.reorder || d.compact);
-        if opts.divergence_sort && reorder_due && action == HostAction::Continue {
-            let mut ids = order.to_vec();
-            partition_active(&mut ids, |v| dirty.load_relaxed(v as usize) != 0);
+        if self.opts.divergence_sort && reorder_due && action == HostAction::Continue {
+            let mut ids = self.order.to_vec();
+            partition_active(&mut ids, |v| self.dirty.load_relaxed(v as usize) != 0);
             for (i, v) in ids.into_iter().enumerate() {
-                order.store_relaxed(i, v);
+                self.order.store_relaxed(i, v);
             }
         }
         Ok(StepReport {
@@ -411,80 +384,98 @@ pub fn try_solve_with(
             // never needed, only retry/regrow.
             progressed: true,
         })
-    })?;
+    }
 
+    /// How many nodes still have enabled incoming edges (the §7.6
+    /// divergence-sort population) and the chunk-arena footprint (§7.1
+    /// Kernel-Only allocation high water). None on a regrow step, whose
+    /// iteration re-runs.
+    fn markers(&self, iteration: u64, action: HostAction) -> Vec<TraceEvent> {
+        if matches!(action, HostAction::Regrow(_)) {
+            return Vec::new();
+        }
+        let n = self.prob.num_vars;
+        let dirty_nodes = (0..n).filter(|&v| self.dirty.load_relaxed(v) != 0).count();
+        vec![
+            marker::<Self>(iteration, "dirty_nodes", dirty_nodes as f64),
+            TraceEvent::Alloc {
+                name: "pta.chunk_arena".into(),
+                used: self.incoming.chunks_allocated() as u64,
+                capacity: self.incoming.max_chunks() as u64,
+            },
+        ]
+    }
+
+    /// §6.4 fixpoint oracle against the serial CPU solver, guarded to
+    /// small inputs (the reference is cubic-ish). `done` selects strict
+    /// equality (at Stop) versus monotone soundness (mid-run, after a
+    /// recovery escalation: every derived points-to bit must already be in
+    /// the CPU fixpoint).
+    #[cfg(feature = "morph-check")]
+    fn oracle(&mut self, done: bool) -> Option<Result<(), String>> {
+        if self.prob.num_vars > 256 {
+            return Some(Ok(()));
+        }
+        let prob = self.prob;
+        let want = self
+            .reference
+            .get_or_insert_with(|| crate::serial::solve(prob));
+        for (v, want_row) in want.iter().enumerate() {
+            let got = self.pts.row_to_vec(v);
+            if done && got != *want_row {
+                return Some(Err(format!(
+                    "fixpoint mismatch at node {v}: gpu points-to {got:?} differs from CPU reference {want_row:?}"
+                )));
+            }
+            if let Some(&q) = got.iter().find(|q| !want_row.contains(q)) {
+                return Some(Err(format!(
+                    "unsound points-to bit at node {v}: {q} is not in the CPU fixpoint"
+                )));
+            }
+        }
+        Some(Ok(()))
+    }
+
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u64_slice(&self.pts.words_snapshot());
+    }
+
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Option<Vec<u64>> {
+        let words = r.u64_slice()?;
+        (words.len() == self.pts.rows() * self.pts.words_per_row()).then_some(words)
+    }
+
+    /// Every node is marked dirty so the first resumed iteration re-pulls
+    /// everything and phase 0 re-derives any load/store edge the snapshot
+    /// pre-dates — both safe because the analysis is monotone.
+    fn restore(&mut self, words: Vec<u64>, _completed: u64) {
+        self.pts.restore_words(&words);
+        for v in 0..self.prob.num_vars {
+            self.dirty.store_relaxed(v, 1);
+        }
+    }
+}
+
+/// Fault-tolerant [`solve_with`] under the recovering driver: failed
+/// launches are retried (safe — the analysis is monotone, so a half-run
+/// kernel only leaves behind valid edges and points-to bits) and chunk-
+/// arena exhaustion triggers a host regrow + re-scan.
+pub fn try_solve_with(
+    prob: &PtaProblem,
+    opts: PtaOpts,
+    sms: usize,
+    recovery: &RecoveryOpts,
+) -> Result<GpuSolveOutcome, DriveError> {
+    let mut m = PtaMorph::new(prob, opts, sms);
+    let (outcome, base) = run_morph(&mut m, recovery)?;
     Ok(GpuSolveOutcome {
-        solution: (0..n).map(|v| pts.row_to_vec(v)).collect(),
+        solution: (0..prob.num_vars).map(|v| m.pts.row_to_vec(v)).collect(),
         launch: outcome.stats,
-        iterations: iterations_base + outcome.iterations,
-        edge_bytes: incoming.bytes_allocated(),
+        iterations: base + outcome.iterations,
+        edge_bytes: m.incoming.bytes_allocated(),
         retries: outcome.retries,
         regrows: outcome.regrows,
     })
-}
-
-/// Checkpoint payload schema tag: `"PT"` + layout version.
-const PTA_CKPT_TAG: u32 = 0x5054_0001;
-
-/// Minimal resume state: the iteration count and the raw points-to words.
-/// Incoming-edge lists are deliberately absent — Copy edges are rebuilt by
-/// the host prologue and Load/Store edges are re-derived by phase 0 (the
-/// kernel-only allocation protocol makes them pure cache, §7.1).
-fn encode_pta_checkpoint(pts: &AtomicBitmap, iterations: u64) -> Vec<u8> {
-    let words = pts.words_snapshot();
-    let mut w = PayloadWriter::with_capacity(4 + 8 + 8 + words.len() * 8);
-    w.u32(PTA_CKPT_TAG);
-    w.u64(iterations);
-    w.u64_slice(&words);
-    w.finish()
-}
-
-/// Decode into `pts`; returns the completed-iteration count, or `None`
-/// (fresh run) when the payload is foreign or shaped for another problem.
-fn decode_pta_checkpoint(payload: &[u8], pts: &AtomicBitmap) -> Option<u64> {
-    let mut r = PayloadReader::new(payload);
-    if r.u32()? != PTA_CKPT_TAG {
-        return None;
-    }
-    let iterations = r.u64()?;
-    let words = r.u64_slice()?;
-    if words.len() != pts.rows() * pts.words_per_row() || !r.exhausted() {
-        return None;
-    }
-    pts.restore_words(&words);
-    Some(iterations)
-}
-
-/// Fixpoint oracle against the serial CPU solver, guarded to small inputs
-/// (the reference is cubic-ish). `done` selects strict equality (at Stop)
-/// versus monotone soundness (mid-run, after a recovery escalation: every
-/// derived points-to bit must already be in the CPU fixpoint).
-#[cfg(feature = "morph-check")]
-fn pta_oracle(
-    prob: &PtaProblem,
-    pts: &AtomicBitmap,
-    reference: &mut Option<Solution>,
-    done: bool,
-) -> Result<(), String> {
-    let n = prob.num_vars;
-    if n > 256 {
-        return Ok(());
-    }
-    let want = reference.get_or_insert_with(|| crate::serial::solve(prob));
-    for (v, want_row) in want.iter().enumerate() {
-        let got = pts.row_to_vec(v);
-        if done && got != *want_row {
-            return Err(format!(
-                "fixpoint mismatch at node {v}: gpu points-to {got:?} differs from CPU reference {want_row:?}"
-            ));
-        }
-        if let Some(&q) = got.iter().find(|q| !want_row.contains(q)) {
-            return Err(format!(
-                "unsound points-to bit at node {v}: {q} is not in the CPU fixpoint"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Solve with default options.
@@ -643,14 +634,20 @@ mod tests {
 
     #[test]
     fn foreign_checkpoint_payload_is_refused() {
-        let pts = AtomicBitmap::new(4, 4);
-        pts.set(0, 3);
-        assert_eq!(decode_pta_checkpoint(&[], &pts), None);
+        use morph_core::pipeline::resume;
+
+        let mut prob = PtaProblem::new(4);
+        prob.add(Constraint::AddressOf { p: 0, q: 3 });
+        let mut m = PtaMorph::new(&prob, PtaOpts::default(), 1);
+        assert_eq!(resume(&mut m, &[]), None);
         // Right tag, wrong shape.
-        let tiny = AtomicBitmap::new(1, 1);
-        let payload = encode_pta_checkpoint(&tiny, 9);
-        assert_eq!(decode_pta_checkpoint(&payload, &pts), None);
-        assert!(pts.get(0, 3), "no partial mutation");
+        let tiny = PtaProblem::new(1);
+        let mut w = PayloadWriter::new();
+        w.u32(PtaMorph::TAG);
+        w.u64(9);
+        PtaMorph::new(&tiny, PtaOpts::default(), 1).encode(&mut w);
+        assert_eq!(resume(&mut m, &w.finish()), None);
+        assert!(m.pts.get(0, 3), "no partial mutation");
     }
 
     #[test]

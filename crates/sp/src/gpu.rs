@@ -9,7 +9,7 @@
 //! two-kernel shape natural. Threads-per-block is fixed "because the graph
 //! size mostly remains constant" (§7.4).
 //!
-//! Sweeps are driven by `morph_core::runtime::drive_recovering`: a sweep
+//! Sweeps are driven by `morph_core::run_morph`: a sweep
 //! is idempotent (it recomputes caches and surveys from the current state),
 //! so a launch that dies mid-sweep is simply re-launched.
 
@@ -17,10 +17,11 @@ use crate::factor_graph::FactorGraph;
 use crate::formula::Formula;
 use crate::solver::{run_solver, SolveOutcome, SolveStats, SpParams};
 use crate::surveys::{recompute_var_cache, update_clause, Surveys};
-use morph_core::runtime::{drive_recovering, DriveError, HostAction, RecoveryOpts, StepReport};
-use morph_core::{AdaptiveParallelism, PayloadReader, PayloadWriter};
+use morph_core::pipeline::marker;
+use morph_core::runtime::{DriveError, HostAction, RecoveryOpts, StepCtx, StepReport};
+use morph_core::{run_morph, AdaptiveParallelism, Morph, PayloadReader, PayloadWriter};
 use morph_gpu_sim::{
-    BarrierKind, GpuConfig, Kernel, LaunchStats, ThreadCtx, TraceEvent, VirtualGpu,
+    BarrierKind, GpuConfig, Kernel, LaunchError, LaunchStats, ThreadCtx, TraceEvent, VirtualGpu,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -85,6 +86,163 @@ impl Kernel for SurveyKernel<'_> {
     }
 }
 
+/// One propagation phase as a [`Morph`] pipeline: one launch per sweep.
+struct SpMorph<'a> {
+    fg: &'a FactorGraph,
+    s: &'a Surveys,
+    eps: f64,
+    max_sweeps: usize,
+    sms: usize,
+    /// Completed sweeps, a restored checkpoint's included.
+    sweeps: usize,
+    /// The last sweep's max survey change.
+    delta: f64,
+}
+
+impl<'a> SpMorph<'a> {
+    fn new(fg: &'a FactorGraph, s: &'a Surveys, eps: f64, max_sweeps: usize, sms: usize) -> Self {
+        Self {
+            fg,
+            s,
+            eps,
+            max_sweeps: max_sweeps.max(1),
+            sms,
+            sweeps: 0,
+            delta: 0.0,
+        }
+    }
+}
+
+impl Morph for SpMorph<'_> {
+    const ALGO: &'static str = "sp";
+    /// `"SP"` + layout version.
+    const TAG: u32 = 0x5350_0001;
+    const CHECK: &'static str = "oracle.sp.surveys";
+    /// The η survey bits of every edge slot. Sweeps are idempotent
+    /// recomputations over the surveys, so restoring them and the sweep
+    /// count reproduces the rest of the run exactly; the Π caches are
+    /// recomputed by phase 0 of the next sweep and are not saved.
+    type Snapshot = Vec<u64>;
+
+    fn config(&mut self) -> (GpuConfig, Option<AdaptiveParallelism>) {
+        let config = GpuConfig {
+            num_sms: self.sms,
+            warp_size: 32,
+            blocks: AdaptiveParallelism::blocks_for_input(self.sms, self.fg.num_clauses, 1024),
+            threads_per_block: 1024 / 32, // 32 warps of work per block is
+            // hardware-realistic, but virtual threads are simulated serially,
+            // so we keep blocks×tpb within a few× the worker count for speed.
+            barrier: BarrierKind::SenseReversing,
+        };
+        // No schedule: "the graph size mostly remains constant" (§7.4), and
+        // a sweep has no compaction or layout knob for a tuner to actuate.
+        (config, None)
+    }
+
+    fn lens_regions(&self) -> Vec<(&'static str, usize, usize)> {
+        vec![
+            ("sp.var_cache", VAR_CACHE_BASE, self.fg.num_vars * 8),
+            ("sp.surveys", SURVEYS_BASE, self.fg.num_edge_slots() * 8),
+            ("sp.delta", DELTA_BASE, 8),
+        ]
+    }
+
+    fn step(&mut self, gpu: &mut VirtualGpu, _ctx: &StepCtx) -> Result<StepReport, LaunchError> {
+        let k = SurveyKernel {
+            fg: self.fg,
+            s: self.s,
+            delta_bits: AtomicU64::new(0),
+        };
+        let stats = gpu.try_launch(&k)?;
+        self.sweeps += 1;
+        self.delta = f64::from_bits(k.delta_bits.load(Ordering::Acquire));
+        let action = if self.delta < self.eps || self.sweeps >= self.max_sweeps {
+            HostAction::Stop
+        } else {
+            HostAction::Continue
+        };
+        Ok(StepReport {
+            stats,
+            action,
+            // Numerical convergence has its own bound (max_sweeps); the
+            // livelock watchdog is not meaningful here.
+            progressed: true,
+        })
+    }
+
+    /// The max survey change this sweep (the series that decides the
+    /// `delta < eps` exit) and the live-clause count (shrinks as the
+    /// solver decimates).
+    fn markers(&self, iteration: u64, _action: HostAction) -> Vec<TraceEvent> {
+        let live = (0..self.fg.num_clauses)
+            .filter(|&a| !self.fg.clause_deleted.is_deleted(a as u32))
+            .count();
+        vec![
+            marker::<Self>(iteration, "max_delta", self.delta),
+            marker::<Self>(iteration, "live_clauses", live as f64),
+        ]
+    }
+
+    /// §6.2: every live edge carries a finite survey in `[0, 1]`, and live
+    /// clauses reference only in-range, still-free variables — the state
+    /// decimation relies on.
+    #[cfg(feature = "morph-check")]
+    fn oracle(&mut self, _done: bool) -> Option<Result<(), String>> {
+        let fg = self.fg;
+        for a in 0..fg.num_clauses {
+            if fg.clause_deleted.is_deleted(a as u32) {
+                continue;
+            }
+            for e in fg.clause_slots(a) {
+                if !fg.edge_live(e) {
+                    continue;
+                }
+                let eta = self.s.get(e);
+                if !eta.is_finite() || !(0.0..=1.0).contains(&eta) {
+                    return Some(Err(format!(
+                        "live clause {a} edge slot {e} carries non-probability survey {eta}"
+                    )));
+                }
+                let v = fg.edge_var(e);
+                if v as usize >= fg.num_vars {
+                    return Some(Err(format!(
+                        "live clause {a} edge slot {e} references out-of-range var {v}"
+                    )));
+                }
+                if !fg.var_free(v) {
+                    return Some(Err(format!(
+                        "live clause {a} references var {v}, which decimation already fixed"
+                    )));
+                }
+            }
+        }
+        Some(Ok(()))
+    }
+
+    fn encode(&self, w: &mut PayloadWriter) {
+        let slots = self.fg.num_edge_slots();
+        w.u64(slots as u64);
+        for e in 0..slots {
+            w.u64(self.s.get(e).to_bits());
+        }
+    }
+
+    fn decode(&self, r: &mut PayloadReader<'_>) -> Option<Vec<u64>> {
+        let slots = r.u64()? as usize;
+        if slots != self.fg.num_edge_slots() {
+            return None;
+        }
+        (0..slots).map(|_| r.u64()).collect()
+    }
+
+    fn restore(&mut self, bits: Vec<u64>, completed: u64) {
+        for (e, b) in bits.into_iter().enumerate() {
+            self.s.eta.store(e, f64::from_bits(b));
+        }
+        self.sweeps = completed as usize;
+    }
+}
+
 /// Run one propagation phase to convergence on the virtual GPU; returns
 /// `(sweeps, launch stats)`.
 ///
@@ -112,150 +270,9 @@ pub fn try_propagate(
     sms: usize,
     recovery: &RecoveryOpts,
 ) -> Result<(usize, LaunchStats), DriveError> {
-    let blocks = AdaptiveParallelism::blocks_for_input(sms, fg.num_clauses, 1024);
-    let mut gpu = VirtualGpu::new(GpuConfig {
-        num_sms: sms,
-        warp_size: 32,
-        blocks,
-        threads_per_block: 1024 / 32, // 32 warps of work per block is
-        // hardware-realistic, but virtual threads are simulated serially,
-        // so we keep blocks×tpb within a few× the worker count for speed.
-        barrier: BarrierKind::SenseReversing,
-    });
-    recovery.arm(&mut gpu);
-    if gpu.observers().lens.is_enabled() {
-        gpu.observers().lens.register("sp.var_cache", VAR_CACHE_BASE, fg.num_vars * 8);
-        gpu.observers().lens.register("sp.surveys", SURVEYS_BASE, fg.num_edge_slots() * 8);
-        gpu.observers().lens.register("sp.delta", DELTA_BASE, 8);
-    }
-    let max_sweeps = max_sweeps.max(1);
-    let mut sweeps = 0usize;
-    // Resume from the newest checkpoint, if the caller attached a store
-    // and it holds one for this job. Sweeps are idempotent recomputations
-    // over the survey state, so restoring the surveys and the sweep count
-    // reproduces the remainder of the run exactly.
-    if let Some(ck) = &recovery.checkpoint {
-        if let Some(saved) = ck.resume("sp") {
-            if let Some(restored) = decode_sp_checkpoint(&saved.payload, fg, s) {
-                sweeps = restored;
-            }
-        }
-    }
-    #[cfg(feature = "morph-check")]
-    let mut oracle = morph_core::OracleGate::new();
-    // Autotune: SP keeps a fixed geometry ("the graph size mostly remains
-    // constant", §7.4) and a sweep has no host-side compaction or layout
-    // knob, so an attached `morph-tune` controller acts purely inside the
-    // driver — serial-pin windows on abort storms, tpb pinned to the
-    // configured value (no schedule ⇒ the controller's band collapses to
-    // `[tpb, tpb]`). `ctx.tune` is populated but carries nothing for the
-    // sweep body to actuate.
-    let outcome = drive_recovering(&mut gpu, None, &recovery.policy, |gpu, _ctx| {
-        let k = SurveyKernel {
-            fg,
-            s,
-            delta_bits: AtomicU64::new(0),
-        };
-        let stats = gpu.try_launch(&k)?;
-        sweeps += 1;
-        let delta = f64::from_bits(k.delta_bits.load(Ordering::Acquire));
-        // Per-sweep convergence marker: the max survey change this sweep
-        // (the series that decides the `delta < eps` exit below), plus the
-        // live-clause count (shrinks as the solver decimates).
-        if gpu.observers().tracer.enabled() {
-            let sweep = sweeps as u64 - 1;
-            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
-                algo: "sp".into(),
-                iteration: sweep,
-                metric: "max_delta".into(),
-                value: delta,
-            });
-            let live = (0..fg.num_clauses)
-                .filter(|&a| !fg.clause_deleted.is_deleted(a as u32))
-                .count();
-            gpu.observers().tracer.emit(|| TraceEvent::AlgoIteration {
-                algo: "sp".into(),
-                iteration: sweep,
-                metric: "live_clauses".into(),
-                value: live as f64,
-            });
-        }
-        let action = if delta < eps || sweeps >= max_sweeps {
-            HostAction::Stop
-        } else {
-            HostAction::Continue
-        };
-        // End-state oracle (§6.2): surveys on live edges must be finite
-        // probabilities, and live clauses must reference only in-range,
-        // still-free variables — the state decimation relies on.
-        #[cfg(feature = "morph-check")]
-        if oracle.due(_ctx, &action) {
-            morph_core::report_oracle(&gpu.observers().tracer, "oracle.sp.surveys", sp_oracle(fg, s));
-        }
-        // Iteration boundary: the surveys are quiescent. Snapshot them if
-        // a checkpoint is due (the payload closure never runs when no
-        // store is attached — zero-cost when disabled).
-        if let Some(ck) = &recovery.checkpoint {
-            let sweep = sweeps as u64 - 1;
-            if action != HostAction::Stop && ck.due(sweep) {
-                ck.save(&gpu.observers().tracer, "sp", sweep, || encode_sp_checkpoint(fg, s, sweeps));
-            }
-        }
-        Ok(StepReport {
-            stats,
-            action,
-            // Numerical convergence has its own bound (max_sweeps); the
-            // livelock watchdog is not meaningful here.
-            progressed: true,
-        })
-    })?;
-    Ok((sweeps, outcome.stats))
-}
-
-/// Checkpoint payload schema tag: `"SP"` + layout version.
-const SP_CKPT_TAG: u32 = 0x5350_0001;
-
-/// Minimal resume state: the sweep counter and the η survey of every edge
-/// slot, bit-exact. Caches (Π products) are recomputed by phase 0 of the
-/// next sweep, so they are deliberately not part of the payload.
-fn encode_sp_checkpoint(fg: &FactorGraph, s: &Surveys, sweeps: usize) -> Vec<u8> {
-    let slots = fg.num_edge_slots();
-    let mut w = PayloadWriter::with_capacity(4 + 8 + 8 + slots * 8);
-    w.u32(SP_CKPT_TAG);
-    w.u64(sweeps as u64);
-    w.u64(slots as u64);
-    for e in 0..slots {
-        w.u64(s.get(e).to_bits());
-    }
-    w.finish()
-}
-
-/// Decode into `s`; returns the restored sweep count, or `None` (fall
-/// back to a fresh run) when the payload is foreign or shaped for a
-/// different factor graph.
-fn decode_sp_checkpoint(payload: &[u8], fg: &FactorGraph, s: &Surveys) -> Option<usize> {
-    let mut r = PayloadReader::new(payload);
-    if r.u32()? != SP_CKPT_TAG {
-        return None;
-    }
-    let sweeps = r.u64()? as usize;
-    let slots = r.u64()? as usize;
-    if slots != fg.num_edge_slots() {
-        return None;
-    }
-    // Validate fully before mutating: a truncated payload must not leave
-    // the surveys half-restored.
-    let mut bits = Vec::with_capacity(slots);
-    for _ in 0..slots {
-        bits.push(r.u64()?);
-    }
-    if !r.exhausted() {
-        return None;
-    }
-    for (e, b) in bits.into_iter().enumerate() {
-        s.eta.store(e, f64::from_bits(b));
-    }
-    Some(sweeps)
+    let mut m = SpMorph::new(fg, s, eps, max_sweeps, sms);
+    let (outcome, _) = run_morph(&mut m, recovery)?;
+    Ok((m.sweeps, outcome.stats))
 }
 
 /// Solve `f` on the virtual GPU with `sms` workers.
@@ -263,41 +280,6 @@ pub fn solve(f: &Formula, params: &SpParams, sms: usize) -> (SolveOutcome, Solve
     run_solver(f, params, |fg, s| {
         propagate(fg, s, params.eps, params.max_sweeps, sms).0
     })
-}
-
-/// End-state oracle: every live edge carries a finite survey in `[0, 1]`,
-/// and live clauses reference only in-range, still-free variables. Checked
-/// at propagate completion and after recovery escalations.
-#[cfg(feature = "morph-check")]
-fn sp_oracle(fg: &FactorGraph, s: &Surveys) -> Result<(), String> {
-    for a in 0..fg.num_clauses {
-        if fg.clause_deleted.is_deleted(a as u32) {
-            continue;
-        }
-        for e in fg.clause_slots(a) {
-            if !fg.edge_live(e) {
-                continue;
-            }
-            let eta = s.get(e);
-            if !eta.is_finite() || !(0.0..=1.0).contains(&eta) {
-                return Err(format!(
-                    "live clause {a} edge slot {e} carries non-probability survey {eta}"
-                ));
-            }
-            let v = fg.edge_var(e);
-            if v as usize >= fg.num_vars {
-                return Err(format!(
-                    "live clause {a} edge slot {e} references out-of-range var {v}"
-                ));
-            }
-            if !fg.var_free(v) {
-                return Err(format!(
-                    "live clause {a} references var {v}, which decimation already fixed"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -383,21 +365,25 @@ mod tests {
 
     #[test]
     fn foreign_checkpoint_payload_is_refused() {
+        use morph_core::pipeline::resume;
+
         let f = random_ksat(50, 3.0, 3, 7);
         let fg = FactorGraph::new(&f);
         let s = Surveys::init(&fg, 5);
+        let mut m = SpMorph::new(&fg, &s, 1e-3, 10, 1);
         let before: Vec<u64> = (0..fg.num_edge_slots()).map(|e| s.get(e).to_bits()).collect();
-        assert_eq!(decode_sp_checkpoint(&[], &fg, &s), None);
-        assert_eq!(decode_sp_checkpoint(&[1, 2, 3], &fg, &s), None);
+        assert_eq!(resume(&mut m, &[]), None);
+        assert_eq!(resume(&mut m, &[1, 2, 3]), None);
         // Right tag, wrong shape.
         let mut w = PayloadWriter::new();
-        w.u32(SP_CKPT_TAG);
+        w.u32(SpMorph::TAG);
         w.u64(9);
         w.u64(1);
         w.u64(0.5f64.to_bits());
         let alien = w.finish();
-        assert_eq!(decode_sp_checkpoint(&alien, &fg, &s), None);
+        assert_eq!(resume(&mut m, &alien), None);
         // No partial mutation happened.
+        assert_eq!(m.sweeps, 0);
         for (e, &b) in before.iter().enumerate() {
             assert_eq!(s.get(e).to_bits(), b, "edge {e}");
         }
