@@ -28,7 +28,7 @@
 use crate::barrier::{make_barrier, GlobalBarrier, BARRIER_POISON_MSG, BARRIER_TIMEOUT_MSG};
 use crate::cancel::CancelToken;
 use crate::config::GpuConfig;
-use crate::costmodel::{WarpScore, WarpTape};
+use crate::costmodel::{WarpDists, WarpTape};
 use crate::counters::{LaunchStats, WorkerCounters};
 use crate::fault::FaultPlan;
 use crate::kernel::{Kernel, ThreadCtx};
@@ -175,8 +175,12 @@ impl PhaseAccum {
 }
 
 /// Registry handles for the engine's cost-model series, resolved once per
-/// launch so the warp loop never sees a registry lock.
+/// launch so the warp loop never sees a registry lock, and the launch's
+/// per-warp distributions pending publication.
 struct WarpMetrics {
+    /// What the workers that left have buffered; published into the
+    /// `*_per_warp` series only if the launch completes.
+    pending: WarpDists,
     txn_per_warp: Arc<morph_metrics::Histogram>,
     conflicts_per_warp: Arc<morph_metrics::Histogram>,
     serial_per_warp: Arc<morph_metrics::Histogram>,
@@ -192,6 +196,7 @@ impl WarpMetrics {
         let h = |name: &str, help: &str| hub.histogram(name, help).expect("hub is enabled");
         let c = |name: &str, help: &str| hub.counter(name, help).expect("hub is enabled");
         WarpMetrics {
+            pending: WarpDists::default(),
             txn_per_warp: h(
                 "morph_warp_gmem_transactions",
                 "Global-memory transactions per warp per phase (32-byte segment model)",
@@ -227,23 +232,12 @@ impl WarpMetrics {
         }
     }
 
-    /// Feed one warp's score into the per-warp distributions. Empty
-    /// dimensions are skipped so a warp that never touched shared memory
-    /// does not drag the conflict histogram toward zero.
-    fn record_warp(&self, s: &WarpScore) {
-        if s.gmem_accesses > 0 {
-            self.txn_per_warp.record(s.gmem_transactions);
-        }
-        if s.smem_accesses > 0 {
-            self.conflicts_per_warp.record(s.smem_conflicts);
-        }
-        if s.atomic_ops > 0 {
-            self.serial_per_warp.record(s.atomic_serial);
-        }
-    }
-
-    /// Publish launch totals into the live registry counters.
+    /// Publish a completed launch's per-warp distributions and totals
+    /// into the live registry series.
     fn finish(&self, stats: &LaunchStats) {
+        self.txn_per_warp.merge(&self.pending.transactions);
+        self.conflicts_per_warp.merge(&self.pending.conflicts);
+        self.serial_per_warp.merge(&self.pending.serial);
         self.gmem_accesses.add(stats.gmem_accesses);
         self.gmem_transactions.add(stats.gmem_transactions);
         self.smem_conflicts.add(stats.smem_conflicts);
@@ -320,6 +314,7 @@ impl Observers {
 /// One launch as its observers see it. Exists only when
 /// [`Observers::needs_tape`]; called at launch begin, per scored warp, at
 /// each phase barrier, as each worker leaves and at launch end or abort.
+/// Each attempt of a retried launch gets its own.
 struct LaunchObs<'a> {
     on: &'a Observers,
     /// This GPU's observed-launch sequence number (the trace's launch id).
@@ -360,8 +355,15 @@ impl<'a> LaunchObs<'a> {
         Some(obs)
     }
 
+    /// A worker's tape: its meters for this launch, lens cells and
+    /// per-warp distributions as attached.
+    fn tape(&self) -> WarpTape {
+        let dists = self.warp_metrics.as_ref().map(|_| Box::default());
+        WarpTape::new(self.lens.clone(), dists)
+    }
+
     /// Warp scored: drain one warp's tape into the worker's cost-model
-    /// counters, its lens cells and the per-warp distributions.
+    /// counters and the tape's own lens cells and per-warp distributions.
     fn warp_scored(&self, phase: usize, tape: &WarpTape, warp_size: usize, c: &mut WorkerCounters) {
         let score = tape.score_and_clear(phase, warp_size);
         c.gmem_accesses += score.gmem_accesses;
@@ -369,9 +371,6 @@ impl<'a> LaunchObs<'a> {
         c.smem_accesses += score.smem_accesses;
         c.smem_conflicts += score.smem_conflicts;
         c.atomic_serial += score.atomic_serial;
-        if let Some(m) = &self.warp_metrics {
-            m.record_warp(&score);
-        }
     }
 
     /// Phase barrier, arriving side (every worker): publish what this
@@ -405,18 +404,24 @@ impl<'a> LaunchObs<'a> {
     }
 
     /// Worker left the launch, finished or unwound: its lens cells join
-    /// the hub's totals and pending delta under the worker's one lock.
+    /// the hub's totals and pending delta under the worker's one lock, and
+    /// its per-warp distributions join the launch's pending ones.
     fn worker_left(&self, tape: WarpTape) {
-        if let Some(cells) = tape.into_lens() {
+        let (cells, dists) = tape.into_meters();
+        if let Some(cells) = cells {
             self.on.lens.merge(&cells);
+        }
+        if let (Some(m), Some(d)) = (&self.warp_metrics, dists) {
+            m.pending.absorb(&d);
         }
     }
 
     /// Launch end (`completed` carries the stats) or abort (`None`): close
     /// the span either way. A dead attempt's counters are discarded (see
     /// [`VirtualGpu::try_launch`]), so its `LaunchEnd` reports zero
-    /// iterations and zero totals and its lens delta is dropped rather
-    /// than left pending for the retry's export to pick up.
+    /// iterations and zero totals, and its lens delta and per-warp
+    /// distributions are dropped rather than left pending for the retry's
+    /// export to pick up.
     fn end(&self, wall: Duration, completed: Option<&LaunchStats>) {
         self.on.tracer.emit(|| TraceEvent::LaunchEnd {
             launch: self.launch,
@@ -724,7 +729,7 @@ fn run_contained<K: Kernel + ?Sized>(
     // The cost-model tape records memory accesses on observed launches
     // only; detached ones skip both the allocation and the per-access
     // pushes.
-    let tape = l.obs.map(|o| WarpTape::new(o.lens.clone()));
+    let tape = l.obs.map(LaunchObs::tape);
     let run = catch_unwind(AssertUnwindSafe(|| {
         run_worker(kernel, l, worker, &mut counters, &progress, tape.as_ref())
     }));

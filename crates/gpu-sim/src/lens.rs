@@ -744,9 +744,9 @@ mod tests {
     /// A one-warp launch through the engine's metering path: snapshot,
     /// worker-local cells, merge.
     fn meter(hub: &LensHub, phase: u64, gmem: &[usize], atomics: &[usize]) {
-        let tape = WarpTape::new(hub.launch_cells(phase as usize + 1));
+        let tape = WarpTape::new(hub.launch_cells(phase as usize + 1), None);
         score_warp(&tape, phase as usize, gmem, atomics);
-        if let Some(cells) = tape.into_lens() {
+        if let (Some(cells), _) = tape.into_meters() {
             hub.merge(&cells);
         }
     }
@@ -810,8 +810,8 @@ mod tests {
             }
             let split = split.min(warps.len());
             for launch in [&warps[..split], &warps[split..]] {
-                let tape = WarpTape::new(cells_hub.launch_cells(3));
-                let detached = WarpTape::new(None);
+                let tape = WarpTape::new(cells_hub.launch_cells(3), None);
+                let detached = WarpTape::new(None, None);
                 for (phase, gmem, atomics) in launch {
                     let gmem: Vec<usize> = gmem.iter().map(|a| 0x1000 + 4 * a).collect();
                     let atomics: Vec<usize> = atomics.iter().map(|a| 0x1000 + 8 * a).collect();
@@ -824,7 +824,7 @@ mod tests {
                     prop_assert_eq!(score.atomic_serial, (atomics.len() - distinct.len()) as u64);
                     reference.lock().unwrap().attribute_reference(*phase as u64, &gmem, &atomics);
                 }
-                cells_hub.merge(&tape.into_lens().unwrap());
+                cells_hub.merge(&tape.into_meters().0.unwrap());
                 let (got, want) = (cells_hub.snapshot(), reference.snapshot());
                 prop_assert_eq!(&got.rows, &want.rows);
                 prop_assert_eq!(&got.hot, &want.hot);

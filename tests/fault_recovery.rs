@@ -10,8 +10,10 @@ use morphgpu::core::runtime::{
 };
 use morphgpu::dmr::{self, DmrOpts};
 use morphgpu::gpu_sim::{
-    BarrierKind, FaultPlan, GpuConfig, Kernel, ThreadCtx, VirtualGpu,
+    BarrierKind, FaultPlan, GpuConfig, Kernel, MetricsHub, MetricsRegistry, ThreadCtx,
+    VirtualGpu,
 };
+use morphgpu::metrics::SampleValue;
 use morphgpu::sp::{self, FactorGraph};
 use morphgpu::workloads;
 use morphgpu::{mst, pta};
@@ -93,6 +95,40 @@ fn mst_forest_is_identical_under_seeded_faults() {
         // MST never allocates, so only the injected panic is observable.
         assert!(got.retries >= 1, "seed {seed}: the panic must cost a retry");
     }
+}
+
+/// A retried launch's dead attempt scored warps before it died; the
+/// per-warp histograms must count only the attempt that completed, as the
+/// launch totals do.
+#[test]
+fn a_dead_attempt_leaves_no_warps_in_the_per_warp_histograms() {
+    let f = workloads::ksat::random_ksat(160, 640, 3, 5);
+    let fg = FactorGraph::new(&f);
+    let run = |plan: FaultPlan| {
+        let plan = Arc::new(plan);
+        let registry = Arc::new(MetricsRegistry::new());
+        let recovery = RecoveryOpts {
+            fault_plan: Some(plan.clone()),
+            metrics: MetricsHub::new(registry.clone()),
+            ..RecoveryOpts::default()
+        };
+        sp::gpu::try_propagate(&fg, &sp::surveys::Surveys::init(&fg, 9), 1e-3, 200, 1, &recovery)
+            .expect("the panic must be retried");
+        assert!(plan.exhausted(), "the planted fault fired");
+        let series = registry.snapshot().series;
+        let value = |name: &str| &series.iter().find(|s| s.name == name).unwrap().value;
+        let SampleValue::Histogram(per_warp) = value("morph_warp_gmem_transactions") else {
+            panic!("histogram expected");
+        };
+        let &SampleValue::Counter(total) = value("morph_gmem_transactions_total") else {
+            panic!("counter expected");
+        };
+        (per_warp.count, per_warp.sum, per_warp.max, total)
+    };
+    let clean = run(FaultPlan::new());
+    let faulted = run(FaultPlan::new().with_kernel_panic(2, 0, 1, 0));
+    assert_eq!(faulted, clean, "(count, sum, max, launch total)");
+    assert_eq!(clean.1, clean.3, "the histogram sums to the launch totals");
 }
 
 /// A kernel standing in for a livelocked 2-phase conflict protocol: it
