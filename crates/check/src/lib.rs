@@ -1,10 +1,10 @@
 //! morph-check — opt-in sanitizer layer for the virtual GPU.
 //!
 //! The simulator's memory model (`SharedSlice` in `morph-gpu-sim`) and the
-//! morph runtime's slot-recycling machinery (`RecyclePool`, `DeletionMarks`
-//! in `morph-core`) state their safety contracts as prose: at most one
-//! writer per element within a barrier interval, donate a slot exactly once
-//! per deletion, never touch a slot between deletion and resurrection. This
+//! morph runtime's slot machinery (`DeletionMarks`, `BumpAllocator` in
+//! `morph-core`) state their safety contracts as prose: at most one writer
+//! per element within a barrier interval, never touch a slot between
+//! deletion and resurrection, never hand out a granted slot twice. This
 //! crate turns those contracts into runtime checks.
 //!
 //! Everything here is *host-side shadow state* — none of it exists on a real
@@ -21,15 +21,11 @@
 //! - [`race`]: shadow access logs keyed by (index, thread, barrier-epoch)
 //!   flagging write/write and read/write pairs by distinct virtual threads
 //!   within one barrier interval.
-//! - [`slots`]: epoch-tagged slot tracker catching double-donation and
-//!   donate-after-reclaim misuse of recycling free-lists.
 
 pub mod race;
-pub mod slots;
 pub mod thread;
 
 pub use race::ShadowLog;
-pub use slots::SlotTracker;
 pub use thread::{in_kernel, next_launch_nonce, KernelScope};
 
 /// Prefix carried by every sanitizer trap so callers (and tests) can tell a

@@ -18,8 +18,8 @@
 use morph_gpu_sim::{AppendFault, FaultPlan, MetricsHub};
 use morph_trace::{TraceEvent, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -116,12 +116,10 @@ struct DurableBacking {
 }
 
 /// Versioned checkpoint storage: always queryable in memory, optionally
-/// mirrored to an append-only JSONL file for post-mortem inspection, or
 /// backed by a verified per-job snapshot directory ([`Self::durable`])
 /// for crash recovery.
 pub struct CheckpointStore {
     inner: Mutex<StoreInner>,
-    jsonl: Option<Mutex<File>>,
     durable: Option<DurableBacking>,
 }
 
@@ -130,20 +128,8 @@ impl CheckpointStore {
     pub fn in_memory() -> Self {
         Self {
             inner: Mutex::new(StoreInner::default()),
-            jsonl: None,
             durable: None,
         }
-    }
-
-    /// In-memory store that also appends every snapshot as one JSON line
-    /// to `path` (payload hex-encoded).
-    pub fn jsonl(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Self {
-            inner: Mutex::new(StoreInner::default()),
-            jsonl: Some(Mutex::new(file)),
-            durable: None,
-        })
     }
 
     /// Durable store rooted at `dir`: every save is written atomically
@@ -211,7 +197,6 @@ impl CheckpointStore {
         }
         Ok(Self {
             inner: Mutex::new(inner),
-            jsonl: None,
             durable: Some(backing),
         })
     }
@@ -258,13 +243,6 @@ impl CheckpointStore {
             inner.latest.insert(job, ck.clone());
             ck
         };
-        if let Some(file) = &self.jsonl {
-            let line = encode_jsonl(&ck);
-            let mut f = file.lock().unwrap();
-            // Append failures must not kill the job: the in-memory copy
-            // is authoritative; the mirror is best-effort.
-            let _ = f.write_all(line.as_bytes()).and_then(|()| f.flush());
-        }
         if let Some(d) = &self.durable {
             // Disk failures must not kill the job either: the in-memory
             // copy keeps this process correct; only a later *recovery*
@@ -411,74 +389,6 @@ fn decode_snapshot(bytes: &[u8]) -> Option<Checkpoint> {
         payload: r.bytes()?,
     };
     r.exhausted().then_some(ck)
-}
-
-/// Read every snapshot back from a JSONL mirror, in append order.
-pub fn load_jsonl(path: impl AsRef<Path>) -> std::io::Result<Vec<Checkpoint>> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut out = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = morph_trace::json::parse(&line).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad checkpoint line: {e}"))
-        })?;
-        let ck = (|| {
-            Some(Checkpoint {
-                job: v.get("job")?.as_u64()?,
-                algo: v.get("algo")?.as_str()?.to_string(),
-                version: v.get("version")?.as_u64()?,
-                iteration: v.get("iteration")?.as_u64()?,
-                payload: hex_decode(v.get("payload")?.as_str()?)?,
-            })
-        })()
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "missing checkpoint field")
-        })?;
-        out.push(ck);
-    }
-    Ok(out)
-}
-
-fn encode_jsonl(ck: &Checkpoint) -> String {
-    // `algo` is a controlled identifier, but escape it anyway so the
-    // mirror is valid JSON for any caller-supplied name.
-    let mut algo = String::with_capacity(ck.algo.len());
-    for c in ck.algo.chars() {
-        match c {
-            '"' => algo.push_str("\\\""),
-            '\\' => algo.push_str("\\\\"),
-            c if (c as u32) < 0x20 => algo.push_str(&format!("\\u{:04x}", c as u32)),
-            c => algo.push(c),
-        }
-    }
-    format!(
-        "{{\"job\":{},\"algo\":\"{}\",\"version\":{},\"iteration\":{},\"payload\":\"{}\"}}\n",
-        ck.job,
-        algo,
-        ck.version,
-        ck.iteration,
-        hex_encode(&ck.payload)
-    )
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(s.get(2 * i..2 * i + 2)?, 16).ok())
-        .collect()
 }
 
 /// The per-job handle a pipeline's step callback drives: decides *when*
@@ -963,29 +873,5 @@ mod tests {
         let mut w2 = PayloadWriter::new();
         w2.u64(u64::MAX);
         assert_eq!(PayloadReader::new(&w2.finish()).bytes(), None);
-    }
-
-    #[test]
-    fn jsonl_mirror_roundtrips() {
-        let dir = std::env::temp_dir().join(format!(
-            "morph-ckpt-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let store = CheckpointStore::jsonl(&path).unwrap();
-        store.save(1, "sp", 0, vec![0x00, 0xFF, 0x7A]);
-        store.save(1, "sp", 3, vec![0x01]);
-        store.save(2, "dmr \"q\"", 9, vec![]);
-        let back = load_jsonl(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[0].payload, vec![0x00, 0xFF, 0x7A]);
-        assert_eq!(back[1].version, 2);
-        assert_eq!(back[2].algo, "dmr \"q\"");
-        assert_eq!(back[2].iteration, 9);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -29,26 +29,9 @@ pub fn partition_active(order: &mut [u32], mut is_active: impl FnMut(u32) -> boo
     n_active
 }
 
-/// Collect the ids in `range` satisfying `is_active` (the per-block
-/// shared-memory variant: each block compacts only its own chunk, as the
-/// paper does "at the thread-block level in each iteration").
-pub fn collect_active(
-    range: std::ops::Range<u32>,
-    mut is_active: impl FnMut(u32) -> bool,
-    out: &mut morph_gpu_sim::shared::LocalWorklist,
-) {
-    out.clear();
-    for id in range {
-        if is_active(id) {
-            out.push(id);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morph_gpu_sim::shared::LocalWorklist;
 
     #[test]
     fn partition_is_stable_and_complete() {
@@ -68,15 +51,5 @@ mod tests {
         assert_eq!(all, vec![0, 1, 2, 3, 4]);
         let mut empty: Vec<u32> = vec![];
         assert_eq!(partition_active(&mut empty, |_| true), 0);
-    }
-
-    #[test]
-    fn collect_active_fills_block_queue() {
-        let mut q = LocalWorklist::with_capacity(8);
-        collect_active(10..20, |x| x % 2 == 0, &mut q);
-        assert_eq!(q.as_slice(), &[10, 12, 14, 16, 18]);
-        // Re-collection clears first.
-        collect_active(0..2, |_| true, &mut q);
-        assert_eq!(q.as_slice(), &[0, 1]);
     }
 }

@@ -4,14 +4,14 @@
 //!   "simple to implement, reduces synchronization bugs, and usually
 //!   performs well as long as only a small fraction of the entire graph is
 //!   deleted" (used by SP's decimation).
-//! * **Recycle** ([`RecyclePool`]) — reuse deleted elements' slots for new
-//!   elements; "a useful tradeoff between memory-compaction overhead and
-//!   the cost of allocating additional storage" (used by DMR).
+//! * **Recycle** — reuse deleted elements' slots for new elements; "a
+//!   useful tradeoff between memory-compaction overhead and the cost of
+//!   allocating additional storage". DMR does this in place: a winning
+//!   cavity writes its new triangles into its own deleted slots first.
 //! * **Explicit deletion / compaction** ([`compact_live`]) — rebuild the
 //!   element array without the deleted slots, producing a remap table for
 //!   satellite data (the host-side analogue of `cudaFree` + re-layout).
 
-use crossbeam::queue::SegQueue;
 use morph_gpu_sim::AtomicU32Slice;
 
 /// Per-element deleted/live marks (bit 0 = deleted).
@@ -76,102 +76,6 @@ impl DeletionMarks {
     }
 }
 
-/// A concurrent free-list of recyclable element slots. Winners donate the
-/// slots of the subgraph they deleted; allocators prefer recycled slots
-/// before bumping the pool cursor.
-///
-/// Under `--features morph-check` every donation and reclaim is mirrored
-/// into an epoch-tagged shadow tracker: donating a slot that is already
-/// queued (the classic faulted-then-retried-commit bug — two winners would
-/// be handed the same slot) traps with a slot-attributed verdict, as does
-/// reclaiming a slot the pool never saw donated.
-#[derive(Default)]
-pub struct RecyclePool {
-    free: SegQueue<u32>,
-    #[cfg(feature = "morph-check")]
-    shadow: morph_check::SlotTracker,
-}
-
-impl RecyclePool {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Make a slot available for reuse. Traps (under morph-check) if the
-    /// slot is already queued: double-donation hands one slot to two
-    /// winners.
-    pub fn donate(&self, slot: u32) {
-        #[cfg(feature = "morph-check")]
-        self.shadow.on_donate(slot);
-        self.free.push(slot);
-    }
-
-    /// [`RecyclePool::donate`], additionally asserting (under morph-check)
-    /// that the donor really deleted the slot first: donating a live slot
-    /// recycles storage that is still in use.
-    pub fn donate_deleted(&self, slot: u32, marks: &DeletionMarks) {
-        #[cfg(feature = "morph-check")]
-        if !marks.is_deleted(slot) {
-            morph_check::fail(
-                "donate_live",
-                &format!("slot {slot} donated to the recycle pool while still marked live"),
-            );
-        }
-        #[cfg(not(feature = "morph-check"))]
-        let _ = marks;
-        self.donate(slot);
-    }
-
-    /// Take a recycled slot if one is available.
-    pub fn reclaim(&self) -> Option<u32> {
-        let slot = self.free.pop();
-        #[cfg(feature = "morph-check")]
-        if let Some(s) = slot {
-            self.shadow.on_reclaim(s);
-        }
-        slot
-    }
-
-    /// Number of slots currently waiting for reuse.
-    pub fn available(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Is `slot` currently sitting in the free queue? Shadow-state query
-    /// for leak checks and retry-safe donation logic in tests.
-    #[cfg(feature = "morph-check")]
-    pub fn is_queued(&self, slot: u32) -> bool {
-        self.shadow.is_queued(slot)
-    }
-
-    /// Slots still queued (donated, never reclaimed), sorted — the leak
-    /// set when the pipeline expects a drained pool at the end.
-    #[cfg(feature = "morph-check")]
-    pub fn queued_snapshot(&self) -> Vec<u32> {
-        self.shadow.queued_slots()
-    }
-
-    /// End-of-pipeline leak audit: every slot in `0..upto` marked deleted
-    /// must either be queued for reuse or have been resurrected — a
-    /// deleted, never-donated slot is storage lost for the rest of the
-    /// run. Traps with the leaked slot ids.
-    #[cfg(feature = "morph-check")]
-    pub fn assert_no_leaks(&self, marks: &DeletionMarks, upto: usize) {
-        let leaked: Vec<u32> = (0..upto as u32)
-            .filter(|&e| marks.is_deleted(e) && !self.shadow.is_queued(e))
-            .collect();
-        if !leaked.is_empty() {
-            morph_check::fail(
-                "slot_leak",
-                &format!(
-                    "{} deleted slot(s) were never donated for recycling: {leaked:?}",
-                    leaked.len()
-                ),
-            );
-        }
-    }
-}
-
 /// Host-side compaction: given deletion marks over `0..n`, produce
 /// `(remap, live)` where `remap[old] = new` for live elements and
 /// `u32::MAX` for deleted ones, and `live` is the new element count.
@@ -210,29 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn recycle_pool_concurrent_balance() {
-        let pool = RecyclePool::new();
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let pool = &pool;
-                s.spawn(move || {
-                    for i in 0..100 {
-                        pool.donate(t * 100 + i);
-                    }
-                });
-            }
-        });
-        assert_eq!(pool.available(), 400);
-        let mut got = Vec::new();
-        while let Some(s) = pool.reclaim() {
-            got.push(s);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..400).collect::<Vec<_>>());
-        assert_eq!(pool.reclaim(), None);
-    }
-
-    #[test]
     fn compaction_remap() {
         let m = DeletionMarks::new(6);
         m.mark_deleted(1);
@@ -256,107 +137,21 @@ mod tests {
     }
 }
 
-/// Negative tests for the recycling sanitizer: planted misuse must trap
-/// with slot attribution, and the DMR-shaped faulted-retry commit pattern
-/// must be distinguishable from legal recycling.
+/// Negative test for the use-after-free sanitizer: touching a deleted
+/// slot must trap with slot attribution.
 #[cfg(all(test, feature = "morph-check"))]
 mod morph_check_tests {
     use super::*;
-
-    fn trap_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
-        let err = std::panic::catch_unwind(f).unwrap_err();
-        err.downcast_ref::<String>().cloned().expect("string panic payload")
-    }
-
-    #[test]
-    fn planted_double_donate_is_caught_with_slot_attribution() {
-        let pool = RecyclePool::new();
-        pool.donate(9);
-        let msg = trap_message(|| pool.donate(9));
-        assert!(morph_check::is_violation(&msg), "{msg}");
-        assert!(msg.contains("double_donate"), "{msg}");
-        assert!(msg.contains("slot 9"), "{msg}");
-    }
-
-    #[test]
-    fn donating_a_live_slot_is_caught() {
-        let pool = RecyclePool::new();
-        let marks = DeletionMarks::new(8);
-        marks.mark_deleted(3);
-        pool.donate_deleted(3, &marks); // deleted: legal
-        let msg = trap_message(|| pool.donate_deleted(5, &marks));
-        assert!(msg.contains("donate_live"), "{msg}");
-        assert!(msg.contains("slot 5"), "{msg}");
-    }
 
     #[test]
     fn use_after_free_assert_traps() {
         let marks = DeletionMarks::new(4);
         marks.mark_deleted(2);
         marks.assert_live(1, "clause update"); // live: fine
-        let msg = trap_message(|| marks.assert_live(2, "clause update"));
+        let err = std::panic::catch_unwind(|| marks.assert_live(2, "clause update")).unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().expect("string panic payload");
         assert!(msg.contains("use_after_free"), "{msg}");
         assert!(msg.contains("slot 2"), "{msg}");
-    }
-
-    /// Regression for the retry path PR 1 made reachable: a DMR-style
-    /// commit deletes a cavity, donates its slots, then faults before
-    /// publishing. The *retried* commit must not blindly re-donate — the
-    /// retry-safe pattern re-donates only slots that are not already
-    /// queued, and the shadow state confirms nothing leaks or doubles.
-    #[test]
-    fn faulted_then_retried_commit_does_not_redonate_cavity_slots() {
-        let pool = RecyclePool::new();
-        let marks = DeletionMarks::new(32);
-        let cavity: Vec<u32> = vec![4, 7, 11];
-
-        // Attempt 1: the winner deletes the cavity and donates the slots,
-        // then the launch faults (injected panic) before the commit is
-        // published — the donations, like real GPU global-memory writes,
-        // are not rolled back.
-        for &t in &cavity {
-            marks.mark_deleted(t);
-            pool.donate_deleted(t, &marks);
-        }
-
-        // Attempt 2 (retry): re-runs the same commit logic. The retry-safe
-        // pattern skips slots that are already queued instead of donating
-        // unconditionally.
-        for &t in &cavity {
-            marks.mark_deleted(t); // idempotent re-mark is legal
-            if !pool.is_queued(t) {
-                pool.donate_deleted(t, &marks);
-            }
-        }
-
-        // Exactly one copy of each cavity slot is queued: allocators can
-        // never hand the same slot to two winners.
-        assert_eq!(pool.queued_snapshot(), cavity);
-        assert_eq!(pool.available(), cavity.len());
-
-        // Recycling the slots resurrects them, and a later deletion may
-        // legally donate them again.
-        while let Some(s) = pool.reclaim() {
-            marks.mark_live(s);
-        }
-        assert!(pool.queued_snapshot().is_empty());
-        marks.mark_deleted(4);
-        pool.donate_deleted(4, &marks);
-        assert_eq!(pool.queued_snapshot(), vec![4]);
-    }
-
-    #[test]
-    fn deleted_but_never_donated_slot_is_reported_as_a_leak() {
-        let pool = RecyclePool::new();
-        let marks = DeletionMarks::new(16);
-        marks.mark_deleted(6);
-        pool.donate_deleted(6, &marks);
-        pool.assert_no_leaks(&marks, 16); // queued: not a leak
-
-        marks.mark_deleted(13); // deleted, never donated
-        let msg = trap_message(|| pool.assert_no_leaks(&marks, 16));
-        assert!(msg.contains("slot_leak"), "{msg}");
-        assert!(msg.contains("[13]"), "{msg}");
     }
 }
 

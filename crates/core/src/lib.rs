@@ -10,16 +10,18 @@
 //! |---|---|
 //! | §7.3 probabilistic 3-phase conflict resolution | [`conflict`] |
 //! | §7.1 subgraph addition (pre-allocate / host-only / kernel-host / kernel-only) | [`addition`] |
-//! | §7.2 subgraph deletion (marking / explicit / recycle) | [`deletion`] |
+//! | §7.2 subgraph deletion (marking / explicit compaction) | [`deletion`] |
 //! | §7.4 adaptive parallelism | [`adaptive`] |
-//! | §7.5 local worklists (and the centralized baseline) | [`worklist`] |
 //! | §7.6 thread-divergence reduction by compaction | [`compact`] |
-//! | §6.4 push- vs. pull-based propagation | [`propagate`] |
 //! | Fig. 3 host do–while driver | [`runtime`] |
 //! | one pipeline contract around that driver | [`pipeline`] |
 //!
 //! The four algorithm crates (`morph-dmr`, `morph-sp`, `morph-pta`,
-//! `morph-mst`) are built from these pieces.
+//! `morph-mst`) are built from these pieces. Two §7 techniques have no
+//! module here because each lives where its one user keeps its data:
+//! §7.5 local worklists are a `Vec<u32>` per block in
+//! [`morph_gpu_sim::BlockLocal`] (DMR), and §6.4 pull-based propagation
+//! is PTA's own kernel.
 
 pub mod adaptive;
 pub mod addition;
@@ -28,18 +30,16 @@ pub mod compact;
 pub mod conflict;
 pub mod deletion;
 pub mod pipeline;
-pub mod propagate;
 pub mod runtime;
-pub mod worklist;
 
 pub use adaptive::AdaptiveParallelism;
 pub use addition::BumpAllocator;
 pub use checkpoint::{
-    crc32, load_jsonl as load_checkpoint_jsonl, Checkpoint, CheckpointCtl, CheckpointStore,
-    PayloadReader, PayloadWriter, StoreRecovery, SNAPSHOT_SCHEMA_VERSION,
+    crc32, Checkpoint, CheckpointCtl, CheckpointStore, PayloadReader, PayloadWriter,
+    StoreRecovery, SNAPSHOT_SCHEMA_VERSION,
 };
 pub use conflict::ConflictTable;
-pub use deletion::{DeletionMarks, RecyclePool};
+pub use deletion::DeletionMarks;
 pub use morph_gpu_sim::CancelToken;
 // Metrics surface, re-exported so pipelines and servers can attach a hub
 // through `RecoveryOpts` without a direct morph-metrics dependency.
@@ -52,4 +52,3 @@ pub use runtime::{
     drive_recovering, DriveError, DriveOutcome, HostAction, RecoveryOpts, RecoveryPolicy,
     RescueLevel, StepCtx, StepReport,
 };
-pub use worklist::{GlobalWorklist, WorklistFull};

@@ -37,7 +37,7 @@ pub fn orient2d<C: Coord>(a: &Point<C>, b: &Point<C>, c: &Point<C>) -> Orientati
 /// **counter-clockwise** triangle `(a, b, c)`?
 ///
 /// Points exactly on the circle return `false` (closed-circle emptiness is
-/// the non-strict Delaunay criterion, which keeps cavity retriangulation
+/// the non-strict Delaunay condition, which keeps cavity retriangulation
 /// deterministic under cocircular inputs).
 #[inline]
 pub fn incircle<C: Coord>(a: &Point<C>, b: &Point<C>, c: &Point<C>, d: &Point<C>) -> bool {

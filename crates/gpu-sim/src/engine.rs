@@ -864,7 +864,7 @@ fn run_block_phase<K: Kernel + ?Sized>(
 mod tests {
     use super::*;
     use crate::mem::AtomicU32Slice;
-    use crate::shared::{BlockLocal, LocalWorklist};
+    use crate::shared::BlockLocal;
     use std::sync::atomic::AtomicU64;
 
     /// Histogram via counted atomics, strided partition.
@@ -1001,8 +1001,9 @@ mod tests {
 
     /// Block-local worklists: each block collects its own ids in shared
     /// memory in phase 0 (lane 0 builds the list) and drains it in phase 1.
+    /// The queue is a plain `Vec<u32>`, the shape DMR keeps per block.
     struct BlockQueues<'a> {
-        queues: &'a BlockLocal<LocalWorklist>,
+        queues: &'a BlockLocal<Vec<u32>>,
         drained: AtomicU32Slice,
     }
 
@@ -1025,7 +1026,7 @@ mod tests {
                     true
                 }
                 _ => {
-                    let item = self.queues.with(ctx, |q| q.peek_at(ctx.thread_in_block));
+                    let item = self.queues.with(ctx, |q| q.get(ctx.thread_in_block).copied());
                     if let Some(it) = item {
                         self.drained.store(it as usize, 1);
                         true
@@ -1040,7 +1041,7 @@ mod tests {
     #[test]
     fn block_local_worklists_work_under_the_engine() {
         let cfg = GpuConfig::small();
-        let queues = BlockLocal::new(cfg.blocks, |_| LocalWorklist::with_capacity(8));
+        let queues = BlockLocal::new(cfg.blocks, |_| Vec::with_capacity(8));
         let k = BlockQueues {
             queues: &queues,
             drained: AtomicU32Slice::new(cfg.total_threads(), 0),

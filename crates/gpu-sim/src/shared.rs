@@ -69,67 +69,6 @@ impl<T: Send> BlockLocal<T> {
     }
 }
 
-/// A fixed-capacity block-local worklist of `u32` work-item ids, the
-/// concrete shape the paper stores in shared memory. Plain `Vec` operations
-/// suffice because the block owns it exclusively.
-#[derive(Debug, Default, Clone)]
-pub struct LocalWorklist {
-    items: Vec<u32>,
-    cursor: usize,
-}
-
-impl LocalWorklist {
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            items: Vec::with_capacity(cap),
-            cursor: 0,
-        }
-    }
-
-    /// Remove all items and reset the cursor.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.cursor = 0;
-    }
-
-    pub fn push(&mut self, item: u32) {
-        self.items.push(item);
-    }
-
-    /// Dequeue the next item, if any.
-    pub fn pop(&mut self) -> Option<u32> {
-        let i = self.cursor;
-        if i < self.items.len() {
-            self.cursor += 1;
-            Some(self.items[i])
-        } else {
-            None
-        }
-    }
-
-    /// Item at `i` without consuming (for one-item-per-thread dispatch).
-    pub fn peek_at(&self, i: usize) -> Option<u32> {
-        self.items.get(i).copied()
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Items not yet dequeued.
-    pub fn remaining(&self) -> usize {
-        self.items.len() - self.cursor
-    }
-
-    pub fn as_slice(&self) -> &[u32] {
-        &self.items
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,26 +106,5 @@ mod tests {
         let mut bl = bl;
         assert_eq!(*bl.get_mut(3), 31);
         assert_eq!(bl.iter_mut().map(|x| *x).collect::<Vec<_>>(), vec![1, 11, 21, 31]);
-    }
-
-    #[test]
-    fn worklist_fifo_semantics() {
-        let mut w = LocalWorklist::with_capacity(4);
-        assert!(w.is_empty());
-        assert_eq!(w.pop(), None);
-        w.push(3);
-        w.push(1);
-        w.push(4);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.remaining(), 3);
-        assert_eq!(w.pop(), Some(3));
-        assert_eq!(w.remaining(), 2);
-        assert_eq!(w.peek_at(2), Some(4));
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(w.pop(), Some(4));
-        assert_eq!(w.pop(), None);
-        w.clear();
-        w.push(9);
-        assert_eq!(w.pop(), Some(9));
     }
 }

@@ -417,7 +417,7 @@ pub enum TraceEvent {
         t_us: u64,
     },
     /// A morph-check sanitizer or end-state-oracle verdict. `check` names
-    /// the checker (e.g. `"oracle.dmr.end_state"`, `"double_donate"`),
+    /// the checker (e.g. `"oracle.dmr.end_state"`, `"use_after_free"`),
     /// `status` is `"ok"` or `"violation"`, `index` locates the offending
     /// element when there is one (0 otherwise), and `detail` carries the
     /// attributed diagnostic for violations. Emitted only when the

@@ -1047,10 +1047,10 @@ mod tests {
                 detail: String::new(),
             },
             TraceEvent::Sanitizer {
-                check: "double_donate".into(),
+                check: "use_after_free".into(),
                 status: "violation".into(),
                 index: 9,
-                detail: "slot 9 donated twice".into(),
+                detail: "slot 9 touched after deletion".into(),
             },
         ];
         let r = TraceReport::from_events(&events);
@@ -1060,7 +1060,10 @@ mod tests {
         let waste = r.render_waste();
         assert!(waste.contains("sanitizer       : 2 verdicts, 1 violations"), "{waste}");
         assert!(waste.contains("[ok] oracle.mst.end_state"), "{waste}");
-        assert!(waste.contains("double_donate (index 9): slot 9 donated twice"), "{waste}");
+        assert!(
+            waste.contains("use_after_free (index 9): slot 9 touched after deletion"),
+            "{waste}"
+        );
     }
 
     fn jev(job: u64, tenant: &str, kind: crate::event::JobEventKind, t_us: u64) -> TraceEvent {

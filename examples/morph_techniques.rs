@@ -7,7 +7,7 @@
 //! ```
 
 use morphgpu::core::addition::{BumpAllocator, GrowthPolicy};
-use morphgpu::core::deletion::{DeletionMarks, RecyclePool};
+use morphgpu::core::deletion::DeletionMarks;
 use morphgpu::core::ConflictTable;
 use morphgpu::gpu_sim::{BarrierKind, GpuConfig, Kernel, ThreadCtx, VirtualGpu};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -15,13 +15,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// A synthetic morph workload over an array of "elements": every thread
 /// repeatedly claims a random neighborhood via 3-phase conflict
 /// resolution, then — if it wins — deletes one element and allocates a
-/// replacement (recycled first). This is the skeleton every algorithm in
-/// this repository instantiates.
+/// replacement. This is the skeleton every algorithm in this repository
+/// instantiates.
 struct DemoMorph<'a> {
     hoods: &'a [Vec<u32>],
     conflict: &'a ConflictTable,
     marks: &'a DeletionMarks,
-    recycle: &'a RecyclePool,
     alloc: &'a BumpAllocator,
     won: &'a [AtomicU32],
 }
@@ -56,8 +55,8 @@ impl Kernel for DemoMorph<'_> {
                 true
             }
             _ => {
-                // Commit: §7.2 deletion by marking + recycling, §7.1
-                // bump allocation for the replacement.
+                // Commit: §7.2 deletion by marking, §7.1 bump
+                // allocation for the replacement.
                 if self.won[ctx.tid].load(Ordering::Acquire) != 1 {
                     ctx.abort();
                     return true;
@@ -65,12 +64,7 @@ impl Kernel for DemoMorph<'_> {
                 ctx.commit();
                 let victim = hood[0];
                 self.marks.mark_deleted(victim);
-                self.recycle.donate(victim);
-                let _slot = self
-                    .recycle
-                    .reclaim()
-                    .or_else(|| self.alloc.try_alloc(ctx, 1))
-                    .expect("provisioned");
+                let _slot = self.alloc.try_alloc(ctx, 1).expect("provisioned");
                 true
             }
         }
@@ -102,8 +96,6 @@ fn main() {
 
     let conflict = ConflictTable::new(elements);
     let marks = DeletionMarks::new(capacity);
-    let recycle = RecyclePool::new();
-    let alloc = BumpAllocator::new(elements, capacity);
     let won: Vec<AtomicU32> = (0..nthreads).map(|_| AtomicU32::new(0)).collect();
 
     for kind in [
@@ -112,30 +104,26 @@ fn main() {
         BarrierKind::SenseReversing,
     ] {
         let gpu = VirtualGpu::new(cfg.clone().with_barrier(kind));
+        let alloc = BumpAllocator::new(elements, capacity);
         let k = DemoMorph {
             hoods: &hoods,
             conflict: &conflict,
             marks: &marks,
-            recycle: &recycle,
             alloc: &alloc,
             won: &won,
         };
         let stats = gpu.launch(&k);
         println!(
             "{kind:?}: {} commits, {} aborts (abort ratio {:.0}%), \
-             {} barrier crossings, {} barrier RMWs, wall {:?}",
+             {} barrier crossings, {} barrier RMWs, bump high-water {} of {}, wall {:?}",
             stats.commits,
             stats.aborts,
             100.0 * stats.abort_ratio(),
             stats.barriers,
             stats.barrier_rmws,
+            alloc.len(),
+            alloc.capacity(),
             stats.wall,
         );
     }
-    println!(
-        "\nrecycle pool holds {} slots; bump high-water {} of {}",
-        recycle.available(),
-        alloc.len(),
-        alloc.capacity()
-    );
 }

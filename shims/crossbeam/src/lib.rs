@@ -3,11 +3,7 @@
 //! The build environment has no network access to a crates registry, so the
 //! workspace vendors the tiny slice of the crossbeam API it actually uses:
 //! [`utils::CachePadded`] (false-sharing avoidance for the virtual-GPU
-//! barrier and per-block shared memory) and [`queue::SegQueue`] (the
-//! free-list behind triangle/vertex recycling). Semantics match the real
-//! crate for these uses; performance characteristics are close enough for a
-//! simulator (`SegQueue` here is a mutexed deque, not a lock-free segment
-//! queue).
+//! barrier and per-block shared memory). Semantics match the real crate.
 
 pub mod utils {
     use std::ops::{Deref, DerefMut};
@@ -50,46 +46,8 @@ pub mod utils {
     }
 }
 
-pub mod queue {
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    /// Unbounded MPMC FIFO queue. The real crossbeam implementation is
-    /// lock-free; this vendored stand-in is a mutexed deque with the same
-    /// API and linearizable behaviour.
-    #[derive(Debug, Default)]
-    pub struct SegQueue<T> {
-        inner: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> SegQueue<T> {
-        pub const fn new() -> Self {
-            Self {
-                inner: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        pub fn push(&self, value: T) {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).push_back(value);
-        }
-
-        pub fn pop(&self) -> Option<T> {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).pop_front()
-        }
-
-        pub fn len(&self) -> usize {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::queue::SegQueue;
     use super::utils::CachePadded;
 
     #[test]
@@ -98,31 +56,5 @@ mod tests {
         assert_eq!(*p, 7);
         assert_eq!(std::mem::align_of::<CachePadded<u8>>(), 128);
         assert_eq!(CachePadded::new(3u64).into_inner(), 3);
-    }
-
-    #[test]
-    fn seg_queue_fifo_across_threads() {
-        let q = SegQueue::new();
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let q = &q;
-                s.spawn(move || {
-                    for i in 0..100 {
-                        q.push(t * 1000 + i);
-                    }
-                });
-            }
-        });
-        assert_eq!(q.len(), 400);
-        let mut seen = Vec::new();
-        while let Some(v) = q.pop() {
-            seen.push(v);
-        }
-        seen.sort_unstable();
-        let want: Vec<u32> = (0..4u32).flat_map(|t| (0..100).map(move |i| t * 1000 + i)).collect();
-        let mut want = want;
-        want.sort_unstable();
-        assert_eq!(seen, want);
-        assert!(q.is_empty());
     }
 }

@@ -3,20 +3,19 @@
 //! algorithm crates use them.
 
 use morphgpu::core::addition::BumpAllocator;
-use morphgpu::core::deletion::{DeletionMarks, RecyclePool};
+use morphgpu::core::deletion::DeletionMarks;
 use morphgpu::core::ConflictTable;
 use morphgpu::gpu_sim::{GpuConfig, Kernel, ThreadCtx, VirtualGpu};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A miniature morph workload: each thread claims a random neighborhood
 /// of "elements" via the 3-phase protocol; winners delete one element and
-/// allocate a replacement (recycled first, bump otherwise). Invariants:
-/// no element is deleted twice, and allocations never collide.
+/// bump-allocate a replacement slot. Invariants: no element is deleted
+/// twice, and allocations never collide.
 struct MiniMorph<'a> {
     hoods: &'a [Vec<u32>],
     conflict: &'a ConflictTable,
     marks: &'a DeletionMarks,
-    recycle: &'a RecyclePool,
     alloc: &'a BumpAllocator,
     deleted_by: &'a [AtomicU32],
     owned: &'a [AtomicU32],
@@ -65,12 +64,8 @@ impl Kernel for MiniMorph<'_> {
                     "element {victim} deleted twice"
                 );
                 self.marks.mark_deleted(victim);
-                self.recycle.donate(victim);
                 // …and allocate a replacement slot.
-                let slot = match self.recycle.reclaim() {
-                    Some(s) => s,
-                    None => self.alloc.try_alloc(ctx, 1).expect("capacity provisioned"),
-                };
+                let slot = self.alloc.try_alloc(ctx, 1).expect("capacity provisioned");
                 assert_eq!(
                     self.owned[slot as usize].swap(me + 1, Ordering::AcqRel),
                     0,
@@ -109,7 +104,6 @@ fn mini_morph_composition_holds_invariants() {
 
     let conflict = ConflictTable::new(elements);
     let marks = DeletionMarks::new(capacity);
-    let recycle = RecyclePool::new();
     let alloc = BumpAllocator::new(elements, capacity);
     let deleted_by: Vec<AtomicU32> = (0..capacity).map(|_| AtomicU32::new(0)).collect();
     let owned: Vec<AtomicU32> = (0..capacity).map(|_| AtomicU32::new(0)).collect();
@@ -119,7 +113,6 @@ fn mini_morph_composition_holds_invariants() {
         hoods: &hoods,
         conflict: &conflict,
         marks: &marks,
-        recycle: &recycle,
         alloc: &alloc,
         deleted_by: &deleted_by,
         owned: &owned,
@@ -136,6 +129,8 @@ fn mini_morph_composition_holds_invariants() {
     let allocations = owned.iter().filter(|o| o.load(Ordering::Acquire) != 0).count();
     assert_eq!(deletions as u64, stats.commits);
     assert_eq!(allocations as u64, stats.commits);
+    // Every replacement came from the bump region past the live prefix.
+    assert_eq!(alloc.len() as u64, elements as u64 + stats.commits);
     // Overlapping-hood winners must be disjoint: check pairwise.
     let winners: Vec<usize> = won
         .iter()
@@ -174,7 +169,6 @@ fn all_barriers_agree_on_the_composition() {
         let hoods: Vec<Vec<u32>> = (0..nthreads).map(|t| vec![(t % 24) as u32]).collect();
         let conflict = ConflictTable::new(24);
         let marks = DeletionMarks::new(1024);
-        let recycle = RecyclePool::new();
         let alloc = BumpAllocator::new(24, 1024);
         let deleted_by: Vec<AtomicU32> = (0..1024).map(|_| AtomicU32::new(0)).collect();
         let owned: Vec<AtomicU32> = (0..1024).map(|_| AtomicU32::new(0)).collect();
@@ -183,7 +177,6 @@ fn all_barriers_agree_on_the_composition() {
             hoods: &hoods,
             conflict: &conflict,
             marks: &marks,
-            recycle: &recycle,
             alloc: &alloc,
             deleted_by: &deleted_by,
             owned: &owned,
