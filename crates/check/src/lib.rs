@@ -3,8 +3,8 @@
 //! The simulator's memory model (`SharedSlice` in `morph-gpu-sim`) and the
 //! morph runtime's slot machinery (`DeletionMarks`, `BumpAllocator` in
 //! `morph-core`) state their safety contracts as prose: at most one writer
-//! per element within a barrier interval, never touch a slot between
-//! deletion and resurrection, never hand out a granted slot twice. This
+//! per element within a barrier interval, never touch a slot after
+//! deletion, never hand out a granted slot twice. This
 //! crate turns those contracts into runtime checks.
 //!
 //! Everything here is *host-side shadow state* — none of it exists on a real

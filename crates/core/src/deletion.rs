@@ -45,12 +45,6 @@ impl DeletionMarks {
         self.flags.store(e as usize, 1);
     }
 
-    /// Resurrect a slot (used when recycling it for a new element).
-    #[inline]
-    pub fn mark_live(&self, e: u32) {
-        self.flags.store(e as usize, 0);
-    }
-
     #[inline]
     pub fn is_deleted(&self, e: u32) -> bool {
         self.flags.load(e as usize) != 0
@@ -70,7 +64,7 @@ impl DeletionMarks {
         if self.is_deleted(e) {
             morph_check::fail(
                 "use_after_free",
-                &format!("{what} touched slot {e} after mark_deleted and before resurrection"),
+                &format!("{what} touched slot {e} after mark_deleted"),
             );
         }
     }
@@ -103,14 +97,12 @@ mod tests {
         assert!(!m.is_deleted(2));
         m.mark_deleted(2);
         assert!(m.is_deleted(2));
-        m.mark_live(2);
-        assert!(!m.is_deleted(2));
         m.mark_deleted(0);
-        assert_eq!(m.count_live(4), 3);
+        assert_eq!(m.count_live(4), 2);
         m.grow(6);
         assert_eq!(m.len(), 6);
         assert!(!m.is_deleted(5));
-        assert_eq!(m.count_live(6), 5);
+        assert_eq!(m.count_live(6), 4);
     }
 
     #[test]
@@ -217,27 +209,6 @@ mod proptests {
                 let (_, prefix_live) = compact_live(&marks, upto);
                 prop_assert_eq!(marks.count_live(upto), prefix_live);
             }
-        }
-
-        /// Marking is idempotent and resurrect round-trips: the mark state
-        /// after any interleaving of mark/resurrect per slot is just the
-        /// last operation applied.
-        #[test]
-        fn marks_follow_last_write(ops in prop::collection::vec((0u32..64, any::<bool>()), 0..300)) {
-            let marks = DeletionMarks::new(64);
-            let mut model = [false; 64];
-            for &(slot, del) in &ops {
-                if del {
-                    marks.mark_deleted(slot);
-                } else {
-                    marks.mark_live(slot);
-                }
-                model[slot as usize] = del;
-            }
-            for (slot, &d) in model.iter().enumerate() {
-                prop_assert_eq!(marks.is_deleted(slot as u32), d);
-            }
-            prop_assert_eq!(marks.count_live(64), model.iter().filter(|&&d| !d).count());
         }
     }
 }

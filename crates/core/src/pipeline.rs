@@ -107,9 +107,12 @@ pub fn run_morph<M: Morph>(
             m.regrow(capacity);
             register_lens(gpu, m);
         }
+        let iteration = base + ctx.iteration;
+        if let Some(p) = &gpu.observers().profiler {
+            p.set_host_iteration(iteration);
+        }
         let report = m.step(gpu, ctx)?;
         let tracer = &gpu.observers().tracer;
-        let iteration = base + ctx.iteration;
         if tracer.enabled() {
             for event in m.markers(iteration, report.action) {
                 tracer.emit(|| event);

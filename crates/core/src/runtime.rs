@@ -113,9 +113,9 @@ pub struct RecoveryOpts {
     /// launch beats, and so does [`drive_recovering`] at every host-action
     /// boundary.
     pub heartbeat: Option<Arc<AtomicU64>>,
-    /// Phase-profiler scope. [`drive_recovering`] advances its
-    /// host-iteration base each loop, so samples land in the right
-    /// iteration class although every launch is iteration 0 to the engine.
+    /// Phase-profiler scope. [`crate::run_morph`] sets its host iteration
+    /// to the run's absolute iteration before each step, so samples land
+    /// in the right iteration class, also after a resume.
     pub profiler: Option<ProfilerScope>,
     /// Autotuner handle (`morph-tune`). Detached, the paper's fixed §7.4
     /// schedules apply; enabled, [`drive_recovering`] builds one
@@ -354,12 +354,6 @@ pub fn drive_recovering(
         // attached watchdog heartbeat advances even when individual
         // launches are slow.
         gpu.observers().beat();
-        // Keep the profiler's iteration attribution aligned with the host
-        // loop: each launch restarts its own iteration counter, so the
-        // scope carries the base the engine's samples are offset from.
-        if let Some(p) = &gpu.observers().profiler {
-            p.set_host_iteration(iteration);
-        }
         // A raised cancellation token wins over everything else. No
         // launch is in flight here, so device buffers are quiescent and
         // the caller gets the GPU back immediately.
@@ -567,7 +561,6 @@ pub fn drive_recovering(
                             worker: 0,
                             block: 0,
                             phase: 0,
-                            iteration: iteration as usize,
                             message: "host requested retries exhausted".into(),
                         },
                     });

@@ -53,7 +53,6 @@ pub enum LaunchError {
         worker: usize,
         block: usize,
         phase: usize,
-        iteration: usize,
         message: String,
     },
     /// The barrier watchdog expired: at least one worker failed to arrive
@@ -61,7 +60,6 @@ pub enum LaunchError {
     BarrierStall {
         worker: usize,
         phase: usize,
-        iteration: usize,
         timeout: Duration,
     },
     /// The virtual device died out from under the launch (injected via
@@ -69,11 +67,7 @@ pub enum LaunchError {
     /// not the kernel. Serving layers treat this as an eviction — move the
     /// job to another slot and debit this slot's health — rather than a
     /// retryable kernel failure.
-    DeviceLost {
-        worker: usize,
-        phase: usize,
-        iteration: usize,
-    },
+    DeviceLost { worker: usize, phase: usize },
 }
 
 impl LaunchError {
@@ -91,28 +85,22 @@ impl std::fmt::Display for LaunchError {
                 worker,
                 block,
                 phase,
-                iteration,
                 message,
             } => write!(
                 f,
-                "kernel panic on worker {worker} (block {block}, phase {phase}, iteration {iteration}): {message}"
+                "kernel panic on worker {worker} (block {block}, phase {phase}): {message}"
             ),
             LaunchError::BarrierStall {
                 worker,
                 phase,
-                iteration,
                 timeout,
             } => write!(
                 f,
-                "barrier stall detected by worker {worker} (phase {phase}, iteration {iteration}): a participant failed to arrive within {timeout:?}"
+                "barrier stall detected by worker {worker} (phase {phase}): a participant failed to arrive within {timeout:?}"
             ),
-            LaunchError::DeviceLost {
-                worker,
-                phase,
-                iteration,
-            } => write!(
+            LaunchError::DeviceLost { worker, phase } => write!(
                 f,
-                "device lost under worker {worker} (phase {phase}, iteration {iteration}): the slot died mid-launch"
+                "device lost under worker {worker} (phase {phase}): the slot died mid-launch"
             ),
         }
     }
@@ -264,10 +252,10 @@ pub struct Observers {
     /// Receives per-warp cost-model distributions (coalescing, bank
     /// conflicts, atomic serialization) and launch totals.
     pub metrics: MetricsHub,
-    /// Continuous phase profiler: each phase's modelled cycles and wall
-    /// time land in the scope's `algo;iteration-class;phase` cells — the
-    /// flamegraph source — with or without a tracer. Recovering host loops
-    /// keep the scope's host-iteration base in step with their own count.
+    /// Continuous phase profiler: each phase's modelled cycles land in
+    /// the scope's `algo;iteration-class;phase` cells — the flamegraph
+    /// source — with or without a tracer. The host loop sets the scope's
+    /// iteration before each launch.
     pub profiler: Option<ProfilerScope>,
     /// Closed-loop autotuner handle (`morph-tune`). The engine never
     /// consults the controller — recovering host loops do — but its
@@ -392,11 +380,10 @@ impl<'a> LaunchObs<'a> {
         let delta = accum.totals();
         let wall_us = wall.as_micros() as u64;
         if let Some(p) = &self.on.profiler {
-            p.record(0, phase as u64, wall_us, &delta);
+            p.record(phase as u64, &delta);
         }
         self.on.tracer.emit(|| TraceEvent::PhaseSpan {
             launch: self.launch,
-            iteration: 0,
             phase: phase as u64,
             wall_us,
             delta,
@@ -691,7 +678,6 @@ fn classify_failure(
         return Some(LaunchError::BarrierStall {
             worker,
             phase: at.phase,
-            iteration: 0,
             timeout: watchdog.unwrap_or_default(),
         });
     }
@@ -699,14 +685,12 @@ fn classify_failure(
         return Some(LaunchError::DeviceLost {
             worker,
             phase: at.phase,
-            iteration: 0,
         });
     }
     Some(LaunchError::KernelPanic {
         worker,
         block: at.block,
         phase: at.phase,
-        iteration: 0,
         message,
     })
 }
@@ -830,7 +814,6 @@ fn run_block_phase<K: Kernel + ?Sized>(
                 threads_per_block: tpb,
                 warp,
                 lane,
-                iteration: 0,
                 counters,
                 faults: l.faults,
                 tape,
@@ -1075,14 +1058,12 @@ mod tests {
             Err(LaunchError::KernelPanic {
                 block,
                 phase,
-                iteration,
                 message,
                 ..
             }) => {
                 // tid 3 lives in block 0 under `small()` (tpb = 8).
                 assert_eq!(block, 0);
                 assert_eq!(phase, 0);
-                assert_eq!(iteration, 0);
                 assert_eq!(message, "kernel fault");
             }
             other => panic!("expected KernelPanic, got {other:?}"),
@@ -1131,11 +1112,10 @@ mod tests {
         gpu.set_fault_plan(Arc::clone(&plan));
         let k = CountTo::default();
         match gpu.try_launch(&k) {
-            Err(e @ LaunchError::DeviceLost { worker, phase, iteration }) => {
+            Err(e @ LaunchError::DeviceLost { worker, phase }) => {
                 assert!(e.is_device_loss());
                 assert_eq!(worker, 1);
                 assert_eq!(phase, 0);
-                assert_eq!(iteration, 0);
             }
             other => panic!("expected DeviceLost, got {other:?}"),
         }
@@ -1247,23 +1227,9 @@ mod tests {
 
     #[test]
     fn iterations_are_counted_by_the_host_loop() {
-        // A launch is one iteration: threads always see iteration 0 and
-        // the trip count is the host's, summed by `absorb`.
-        struct IterCheck {
-            max_seen: AtomicU64,
-        }
-        impl Kernel for IterCheck {
-            fn run(&self, _p: usize, ctx: &mut ThreadCtx<'_>) -> bool {
-                self.max_seen
-                    .fetch_max(ctx.iteration as u64, Ordering::AcqRel);
-                true
-            }
-        }
-        let k = IterCheck {
-            max_seen: AtomicU64::new(0),
-        };
-        let stats = launch_n(&VirtualGpu::new(GpuConfig::small()), &k, 5);
-        assert_eq!(k.max_seen.load(Ordering::Acquire), 0);
+        // A launch is one iteration: the trip count is the host's, summed
+        // by `absorb`.
+        let stats = launch_n(&VirtualGpu::new(GpuConfig::small()), &CountTo::default(), 5);
         assert_eq!(stats.iterations, 5);
         assert_eq!(stats.phases, 5);
     }
@@ -1747,8 +1713,8 @@ mod tests {
             ..Observers::default()
         });
         let k = CountTo::default();
-        // The host loop owns the iteration count (as `drive_recovering`
-        // does): each launch lands in its host iteration's class.
+        // The host loop owns the iteration count (as `run_morph` does):
+        // each launch lands in its host iteration's class.
         let mut stats = LaunchStats::default();
         for host_iteration in 0..3 {
             scope.set_host_iteration(host_iteration);

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A virtual-GPU kernel. See the [module docs](self) for the model.
 pub trait Kernel: Sync {
-    /// Number of barrier-separated phases per iteration (≥ 1).
+    /// Number of barrier-separated phases per launch (≥ 1).
     fn phases(&self) -> usize {
         1
     }
@@ -50,9 +50,6 @@ pub struct ThreadCtx<'a> {
     pub warp: usize,
     /// Lane within the warp.
     pub lane: usize,
-    /// Iteration within the launch: always 0, a launch being one pass
-    /// over the phases (host loops count their own iterations).
-    pub iteration: usize,
     pub(crate) counters: &'a mut WorkerCounters,
     /// Fault plan attached to the launching [`crate::VirtualGpu`], if any.
     pub(crate) faults: Option<&'a crate::fault::FaultPlan>,
@@ -349,7 +346,6 @@ mod tests {
             threads_per_block: nthreads,
             warp: 0,
             lane: tid,
-            iteration: 0,
             counters,
             faults: None,
             tape: None,

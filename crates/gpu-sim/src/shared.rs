@@ -84,7 +84,6 @@ mod tests {
             threads_per_block: 4,
             warp: block,
             lane: 0,
-            iteration: 0,
             counters,
             faults: None,
             tape: None,

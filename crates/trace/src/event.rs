@@ -311,13 +311,12 @@ pub enum TraceEvent {
         threads_per_block: u64,
         phases: u64,
     },
-    /// One barrier-separated phase of one kernel iteration completed.
+    /// One barrier-separated phase of one launch completed.
     /// `delta` is the grid-wide counter change attributable to this phase
     /// (summed over all workers); `wall_us` is the phase wall time as
     /// observed by worker 0, including the closing barrier wait.
     PhaseSpan {
         launch: u64,
-        iteration: u64,
         phase: u64,
         wall_us: u64,
         delta: CountersSnapshot,
@@ -344,12 +343,6 @@ pub enum TraceEvent {
     Alloc {
         name: String,
         used: u64,
-        capacity: u64,
-    },
-    /// Worklist occupancy snapshot.
-    Worklist {
-        name: String,
-        len: u64,
         capacity: u64,
     },
     /// Algorithm-level per-iteration marker: DMR bad triangles remaining,
@@ -444,7 +437,7 @@ pub enum TraceEvent {
         t_us: u64,
         detail: String,
     },
-    /// One restart-recovery reconciliation decision (schema v4). On
+    /// One restart-recovery reconciliation decision. On
     /// `--resume` the serve layer replays the durable job journal against
     /// the verified checkpoint store and emits one of these per journaled
     /// job, plus stream-level records (`job` 0) for journal-tail
@@ -459,21 +452,7 @@ pub enum TraceEvent {
         t_us: u64,
         detail: String,
     },
-    /// One cell of the continuous phase profiler: modelled device cycles
-    /// (and observed wall time) attributed to `algo;class;phase`, where
-    /// `class` is the log2 iteration bucket (`"it0"`, `"it1"`, `"it2-3"`,
-    /// …). `spans` counts the `PhaseSpan`s folded into the cell. The
-    /// triple maps 1:1 onto a folded-stack frame, so a stream of these
-    /// renders directly as a flamegraph.
-    ProfileSample {
-        algo: String,
-        class: String,
-        phase: u64,
-        cycles: u64,
-        wall_us: u64,
-        spans: u64,
-    },
-    /// One autotuner actuation (schema v5): the `morph-tune` feedback
+    /// One autotuner actuation: the `morph-tune` feedback
     /// controller changed the knobs for the next host-loop iteration.
     /// `iteration` is the completed iteration whose counters drove the
     /// decision; `tpb` is the threads-per-block chosen for the next one;
@@ -489,7 +468,7 @@ pub enum TraceEvent {
         reorder: bool,
         detail: String,
     },
-    /// One attribution cell of the `morph-lens` profiler (schema v6):
+    /// One attribution cell of the `morph-lens` profiler:
     /// the metered global-memory traffic of one launch, bucketed per
     /// phase × per registered device structure. `region` is the name the
     /// pipeline registered for the address range (`"unattributed"` for
@@ -521,7 +500,6 @@ impl TraceEvent {
             TraceEvent::LaunchEnd { .. } => "launch_end",
             TraceEvent::Recovery { .. } => "recovery",
             TraceEvent::Alloc { .. } => "alloc",
-            TraceEvent::Worklist { .. } => "worklist",
             TraceEvent::AlgoIteration { .. } => "algo_iteration",
             TraceEvent::Job { .. } => "job",
             TraceEvent::Checkpoint { .. } => "checkpoint",
@@ -530,7 +508,6 @@ impl TraceEvent {
             TraceEvent::Sanitizer { .. } => "sanitizer",
             TraceEvent::Alert { .. } => "alert",
             TraceEvent::Restore { .. } => "restore",
-            TraceEvent::ProfileSample { .. } => "profile_sample",
             TraceEvent::Tune { .. } => "tune",
             TraceEvent::Lens { .. } => "lens",
         }
@@ -552,7 +529,6 @@ impl TraceEvent {
             },
             "phase_span" => TraceEvent::PhaseSpan {
                 launch: u("launch")?,
-                iteration: u("iteration")?,
                 phase: u("phase")?,
                 wall_us: u("wall_us")?,
                 delta: counters_from_json(v.get("delta")?)?,
@@ -573,11 +549,6 @@ impl TraceEvent {
             "alloc" => TraceEvent::Alloc {
                 name: s("name")?,
                 used: u("used")?,
-                capacity: u("capacity")?,
-            },
-            "worklist" => TraceEvent::Worklist {
-                name: s("name")?,
-                len: u("len")?,
                 capacity: u("capacity")?,
             },
             "algo_iteration" => TraceEvent::AlgoIteration {
@@ -639,14 +610,6 @@ impl TraceEvent {
                 t_us: u("t_us")?,
                 detail: s("detail")?,
             },
-            "profile_sample" => TraceEvent::ProfileSample {
-                algo: s("algo")?,
-                class: s("class")?,
-                phase: u("phase")?,
-                cycles: u("cycles")?,
-                wall_us: u("wall_us")?,
-                spans: u("spans")?,
-            },
             "tune" => TraceEvent::Tune {
                 iteration: u("iteration")?,
                 tpb: u("tpb")?,
@@ -682,14 +645,12 @@ fn counters_from_json(v: &JsonValue) -> Option<CountersSnapshot> {
         aborts: u("aborts")?,
         commits: u("commits")?,
         barriers: u("barriers")?,
-        // Cost-model fields arrived in a later schema revision; streams
-        // recorded before it decode as zero rather than failing to parse.
-        gmem_accesses: u("gmem_accesses").unwrap_or(0),
-        gmem_transactions: u("gmem_transactions").unwrap_or(0),
-        smem_accesses: u("smem_accesses").unwrap_or(0),
-        smem_conflicts: u("smem_conflicts").unwrap_or(0),
-        atomic_serial: u("atomic_serial").unwrap_or(0),
-        active_warps: u("active_warps").unwrap_or(0),
+        gmem_accesses: u("gmem_accesses")?,
+        gmem_transactions: u("gmem_transactions")?,
+        smem_accesses: u("smem_accesses")?,
+        smem_conflicts: u("smem_conflicts")?,
+        atomic_serial: u("atomic_serial")?,
+        active_warps: u("active_warps")?,
     })
 }
 
@@ -712,15 +673,13 @@ impl Serialize for TraceEvent {
             }
             TraceEvent::PhaseSpan {
                 launch,
-                iteration,
                 phase,
                 wall_us,
                 delta,
             } => {
-                let mut st = s.serialize_struct("TraceEvent", 6)?;
+                let mut st = s.serialize_struct("TraceEvent", 5)?;
                 st.serialize_field("type", self.kind())?;
                 st.serialize_field("launch", launch)?;
-                st.serialize_field("iteration", iteration)?;
                 st.serialize_field("phase", phase)?;
                 st.serialize_field("wall_us", wall_us)?;
                 st.serialize_field("delta", delta)?;
@@ -765,18 +724,6 @@ impl Serialize for TraceEvent {
                 st.serialize_field("type", self.kind())?;
                 st.serialize_field("name", name)?;
                 st.serialize_field("used", used)?;
-                st.serialize_field("capacity", capacity)?;
-                st.end()
-            }
-            TraceEvent::Worklist {
-                name,
-                len,
-                capacity,
-            } => {
-                let mut st = s.serialize_struct("TraceEvent", 4)?;
-                st.serialize_field("type", self.kind())?;
-                st.serialize_field("name", name)?;
-                st.serialize_field("len", len)?;
                 st.serialize_field("capacity", capacity)?;
                 st.end()
             }
@@ -914,24 +861,6 @@ impl Serialize for TraceEvent {
                 st.serialize_field("detail", detail)?;
                 st.end()
             }
-            TraceEvent::ProfileSample {
-                algo,
-                class,
-                phase,
-                cycles,
-                wall_us,
-                spans,
-            } => {
-                let mut st = s.serialize_struct("TraceEvent", 7)?;
-                st.serialize_field("type", self.kind())?;
-                st.serialize_field("algo", algo)?;
-                st.serialize_field("class", class)?;
-                st.serialize_field("phase", phase)?;
-                st.serialize_field("cycles", cycles)?;
-                st.serialize_field("wall_us", wall_us)?;
-                st.serialize_field("spans", spans)?;
-                st.end()
-            }
             TraceEvent::Tune {
                 iteration,
                 tpb,
@@ -1000,7 +929,6 @@ mod tests {
         });
         roundtrip(TraceEvent::PhaseSpan {
             launch: 3,
-            iteration: 7,
             phase: 2,
             wall_us: 1234,
             delta: CountersSnapshot {
@@ -1047,11 +975,6 @@ mod tests {
             name: "dmr.tri_pool".into(),
             used: 100,
             capacity: 4096,
-        });
-        roundtrip(TraceEvent::Worklist {
-            name: "dmr.bad_queue".into(),
-            len: 17,
-            capacity: 64,
         });
         roundtrip(TraceEvent::AlgoIteration {
             algo: "dmr".into(),
@@ -1120,14 +1043,6 @@ mod tests {
             t_us: 190,
             detail: "journal tail truncated (17 bytes)".into(),
         });
-        roundtrip(TraceEvent::ProfileSample {
-            algo: "dmr".into(),
-            class: "it2-3".into(),
-            phase: 1,
-            cycles: 123_456,
-            wall_us: 900,
-            spans: 2,
-        });
         roundtrip(TraceEvent::Tune {
             iteration: 4,
             tpb: 128,
@@ -1173,30 +1088,6 @@ mod tests {
         let mut acc = a;
         acc.add(&d);
         assert_eq!(acc, b);
-    }
-
-    #[test]
-    fn old_streams_without_cost_model_fields_parse_as_zero() {
-        // A PhaseSpan recorded before the cost-model schema revision:
-        // only the original eight counter fields are present.
-        let v = json::parse(
-            r#"{"type":"phase_span","launch":1,"iteration":0,"phase":2,"wall_us":9,
-                "delta":{"active_threads":8,"idle_threads":0,"warps":1,
-                         "divergent_warps":0,"atomics":3,"aborts":0,
-                         "commits":8,"barriers":1}}"#,
-        )
-        .unwrap();
-        match TraceEvent::from_json(&v).expect("old schema still decodes") {
-            TraceEvent::PhaseSpan { delta, .. } => {
-                assert_eq!(delta.active_threads, 8);
-                assert_eq!(delta.gmem_accesses, 0);
-                assert_eq!(delta.gmem_transactions, 0);
-                assert_eq!(delta.smem_conflicts, 0);
-                assert_eq!(delta.atomic_serial, 0);
-                assert_eq!(delta.active_warps, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -8,16 +8,24 @@
 //! the simulator (`morph-gpu-sim`), the recovering runtime (`morph-core`)
 //! and all four pipelines.
 //!
-//! * [`event::TraceEvent`] — the typed schema: launch/phase spans with wall
-//!   time and counter deltas, recovery decisions, allocator/worklist
-//!   occupancy, and algorithm-level iteration markers.
+//! * [`event::TraceEvent`] — the typed schema, one per event kind the
+//!   workspace emits: launch/phase spans with wall time and counter
+//!   deltas, recovery decisions, allocator occupancy, algorithm-level
+//!   iteration markers, serving lifecycle and resilience records,
+//!   sanitizer verdicts, alerts, autotuner actuations and lens cells.
+//!   The JSONL encoding is that schema and nothing else: a line decodes
+//!   to the current kind it names, with every field present, or
+//!   [`sink::parse_jsonl`] reports it by line number.
 //! * [`sink::TraceSink`] — where events go: [`sink::RingSink`] (bounded
 //!   in-memory flight recorder) or [`sink::JsonlSink`] (streamed JSON
 //!   Lines). [`sink::Tracer`] is the cheap handle producers emit through;
 //!   disabled, an emit is a single branch and the event is never built.
 //! * [`report::TraceReport`] — folds an event stream into per-phase
-//!   aggregates, a per-iteration timeline (Fig. 2 shape) and a §7-style
+//!   aggregates, a per-launch timeline (Fig. 2 shape) and a §7-style
 //!   waste breakdown; rendered by `morph-bench`'s `trace-report` binary.
+//! * [`profile::PhaseProfiler`] — the live phase profiler: modelled
+//!   cycles per `algo;iteration-class;phase`, rendered as folded stacks
+//!   for flamegraphs.
 //!
 //! Dependency-wise this crate sits *below* `morph-gpu-sim` (events carry a
 //! plain [`event::CountersSnapshot`], not `LaunchStats`), so every layer of
@@ -30,43 +38,11 @@ pub mod profile;
 pub mod report;
 pub mod sink;
 
-/// The trace JSONL schema revision this crate writes.
-///
-/// History:
-/// * **1** — launch/phase/recovery/alloc/worklist/algo-iteration events
-///   with the original eight-field counter block.
-/// * **2** — cost-model counter fields on [`CountersSnapshot`]
-///   (`gmem_*`, `smem_*`, `atomic_serial`, `active_warps`) and the
-///   serving/resilience events (`job`, `checkpoint`, `eviction`,
-///   `health`, `sanitizer`).
-/// * **3** — the live-introspection events: `alert` (SLO burn-rate and
-///   flight-recorder triggers) and `profile_sample` (phase-profiler
-///   cells).
-/// * **4** — the crash-recovery event: `restore` (one reconciliation
-///   decision per journaled job on `--resume`, plus stream-level records
-///   for journal-tail truncation and discarded durable artifacts).
-/// * **5** — the autotuner event: `tune` (one `morph-tune` actuation:
-///   next-iteration threads-per-block, conflict policy, and the
-///   compaction/reordering requests, with the triggering signal in
-///   `detail`).
-/// * **6** — the attribution event: `lens` (one `morph-lens` cell per
-///   launch: metered global-memory accesses, coalescing transactions,
-///   atomic ops and same-address serialization bucketed per phase × per
-///   registered device structure, plus the hottest contended word).
-///
-/// Compatibility contract, enforced by the golden-file test in
-/// `tests/schema_compat.rs`: decoding is additive. Readers must parse
-/// every older revision (missing counter fields decode as zero) and must
-/// skip unknown `"type"` discriminants ([`TraceEvent::from_json`]
-/// returns `None`) rather than fail, so old `BENCH_*`/trace artifacts
-/// keep parsing as new event kinds land.
-pub const TRACE_SCHEMA_VERSION: u32 = 6;
-
 pub use event::{CountersSnapshot, JobEventKind, RecoveryKind, RestoreOutcome, TraceEvent};
 pub use flight::{FlightConfig, FlightRecorder};
 pub use profile::{iteration_class, model_cycles, PhaseProfiler, ProfilerScope};
 pub use report::{
-    partition_by_job, AlertRow, HealthRow, JobRow, LensAgg, ProfileRow, RestoreRow, TenantAgg,
-    TraceReport, TuneRow, WasteBreakdown,
+    partition_by_job, AlertRow, HealthRow, JobRow, LensAgg, RestoreRow, TenantAgg, TraceReport,
+    TuneRow, WasteBreakdown,
 };
 pub use sink::{parse_jsonl, parse_jsonl_tagged, JsonlSink, RingSink, TeeSink, TraceSink, Tracer};

@@ -19,12 +19,11 @@
 //! profile bounded while the early-vs-late iteration shape — where morph
 //! workloads shift from parallel to serial — stays visible.
 //!
-//! Two producers fill a profile: a live [`ProfilerScope`] armed on a
-//! `VirtualGpu` (cheap: one mutex-guarded map update per phase barrier,
-//! by worker 0 only), and [`PhaseProfiler::fold_events`] re-aggregating
-//! `ProfileSample` events from a recorded stream.
+//! A live [`ProfilerScope`] armed on a `VirtualGpu` fills the profile
+//! (cheap: one mutex-guarded map update per phase barrier, by worker 0
+//! only).
 
-use crate::event::{CountersSnapshot, TraceEvent};
+use crate::event::CountersSnapshot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,17 +66,10 @@ pub fn model_cycles(delta: &CountersSnapshot) -> u64 {
         + 2 * delta.aborts
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct Cell {
-    cycles: u64,
-    wall_us: u64,
-    spans: u64,
-}
-
 /// A bounded, thread-safe profile: `(algo, class, phase) → cycles`.
 #[derive(Debug, Default)]
 pub struct PhaseProfiler {
-    cells: Mutex<BTreeMap<(String, String, u64), Cell>>,
+    cells: Mutex<BTreeMap<(String, String, u64), u64>>,
 }
 
 impl PhaseProfiler {
@@ -86,82 +78,15 @@ impl PhaseProfiler {
     }
 
     /// Fold one phase observation into the profile.
-    pub fn record(
-        &self,
-        algo: &str,
-        iteration: u64,
-        phase: u64,
-        wall_us: u64,
-        delta: &CountersSnapshot,
-    ) {
-        self.record_cell(
-            algo,
-            &iteration_class(iteration),
-            phase,
-            model_cycles(delta),
-            wall_us,
-            1,
-        );
-    }
-
-    fn record_cell(
-        &self,
-        algo: &str,
-        class: &str,
-        phase: u64,
-        cycles: u64,
-        wall_us: u64,
-        spans: u64,
-    ) {
+    pub fn record(&self, algo: &str, iteration: u64, phase: u64, delta: &CountersSnapshot) {
         let mut cells = self.cells.lock().unwrap();
-        let cell = cells
-            .entry((algo.to_string(), class.to_string(), phase))
-            .or_default();
-        cell.cycles += cycles;
-        cell.wall_us += wall_us;
-        cell.spans += spans;
-    }
-
-    /// Re-aggregate `ProfileSample` events from a recorded stream (other
-    /// event kinds are ignored).
-    pub fn fold_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Self {
-        let p = PhaseProfiler::new();
-        for ev in events {
-            if let TraceEvent::ProfileSample {
-                algo,
-                class,
-                phase,
-                cycles,
-                wall_us,
-                spans,
-            } = ev
-            {
-                p.record_cell(algo, class, *phase, *cycles, *wall_us, *spans);
-            }
-        }
-        p
+        *cells
+            .entry((algo.to_string(), iteration_class(iteration), phase))
+            .or_default() += model_cycles(delta);
     }
 
     pub fn is_empty(&self) -> bool {
         self.cells.lock().unwrap().is_empty()
-    }
-
-    /// Drain the profile into one `ProfileSample` event per cell (the
-    /// trace-stream serialization; [`PhaseProfiler::fold_events`] inverts
-    /// it). The profile is left empty.
-    pub fn drain_samples(&self) -> Vec<TraceEvent> {
-        let mut cells = self.cells.lock().unwrap();
-        std::mem::take(&mut *cells)
-            .into_iter()
-            .map(|((algo, class, phase), c)| TraceEvent::ProfileSample {
-                algo,
-                class,
-                phase,
-                cycles: c.cycles,
-                wall_us: c.wall_us,
-                spans: c.spans,
-            })
-            .collect()
     }
 
     /// Render the profile as folded stacks — one
@@ -170,18 +95,17 @@ impl PhaseProfiler {
     pub fn to_folded(&self) -> String {
         let cells = self.cells.lock().unwrap();
         let mut out = String::new();
-        for ((algo, class, phase), c) in cells.iter() {
-            out.push_str(&format!("{algo};{class};phase{phase} {}\n", c.cycles));
+        for ((algo, class, phase), cycles) in cells.iter() {
+            out.push_str(&format!("{algo};{class};phase{phase} {cycles}\n"));
         }
         out
     }
 }
 
 /// A cloneable handle arming the profiler for one pipeline run: carries
-/// the algorithm label and the host-loop iteration base (the engine only
-/// knows its intra-launch iteration; launch-per-iteration pipelines
-/// restart it at 0 every launch, so the recovering driver bumps the base
-/// as its host loop advances).
+/// the algorithm label and the host-loop iteration the engine's phase
+/// observations are attributed to (the engine knows only its launch, so
+/// the pipeline runner sets the absolute iteration before each step).
 #[derive(Debug, Clone)]
 pub struct ProfilerScope {
     profiler: Arc<PhaseProfiler>,
@@ -207,23 +131,17 @@ impl ProfilerScope {
         &self.algo
     }
 
-    /// Set the host-loop iteration base (called by the recovering driver).
+    /// Set the absolute host-loop iteration the next launch belongs to
+    /// (called by the pipeline runner before each step).
     pub fn set_host_iteration(&self, iteration: u64) {
         self.host_iteration.store(iteration, Ordering::Relaxed);
     }
 
-    /// Fold one engine phase observation in, attributing it to
-    /// `host_iteration + engine_iteration`.
-    pub fn record(
-        &self,
-        engine_iteration: u64,
-        phase: u64,
-        wall_us: u64,
-        delta: &CountersSnapshot,
-    ) {
-        let base = self.host_iteration.load(Ordering::Relaxed);
-        self.profiler
-            .record(&self.algo, base + engine_iteration, phase, wall_us, delta);
+    /// Fold one engine phase observation in, attributing it to the
+    /// current host-loop iteration.
+    pub fn record(&self, phase: u64, delta: &CountersSnapshot) {
+        let iteration = self.host_iteration.load(Ordering::Relaxed);
+        self.profiler.record(&self.algo, iteration, phase, delta);
     }
 }
 
@@ -260,28 +178,21 @@ mod tests {
     }
 
     #[test]
-    fn record_fold_and_folded_output_agree() {
+    fn record_and_folded_output_agree() {
         let p = PhaseProfiler::new();
         let d = CountersSnapshot {
             warps: 4,
             gmem_transactions: 2,
             ..Default::default()
         };
-        p.record("dmr", 0, 1, 100, &d);
-        p.record("dmr", 0, 1, 50, &d); // same cell accumulates
-        p.record("dmr", 5, 2, 10, &d); // different class+phase
+        p.record("dmr", 0, 1, &d);
+        p.record("dmr", 0, 1, &d); // same cell accumulates
+        p.record("dmr", 5, 2, &d); // different class+phase
         let folded = p.to_folded();
         let want_cycles = 2 * model_cycles(&d);
         assert!(folded.contains(&format!("dmr;it0;phase1 {want_cycles}")));
         assert!(folded.contains("dmr;it4-7;phase2"));
         assert_eq!(folded.lines().count(), 2);
-
-        // Drain to events, fold back: identical folded text.
-        let samples = p.drain_samples();
-        assert!(p.is_empty());
-        assert_eq!(samples.len(), 2);
-        let back = PhaseProfiler::fold_events(samples.iter());
-        assert_eq!(back.to_folded(), folded);
     }
 
     #[test]
@@ -292,9 +203,9 @@ mod tests {
             warps: 1,
             ..Default::default()
         };
-        scope.record(0, 0, 1, &d);
+        scope.record(0, &d);
         scope.set_host_iteration(4);
-        scope.record(0, 0, 1, &d); // lands in it4-7, not it0
+        scope.record(0, &d); // lands in it4-7, not it0
         let folded = p.to_folded();
         assert!(folded.contains("sp;it0;phase0"));
         assert!(folded.contains("sp;it4-7;phase0"));

@@ -187,19 +187,6 @@ impl LensAgg {
     }
 }
 
-/// One phase-profiler cell ([`TraceEvent::ProfileSample`]) from the
-/// stream, in order. `crate::profile::PhaseProfiler::fold_events`
-/// re-aggregates these into folded stacks.
-#[derive(Debug, Clone)]
-pub struct ProfileRow {
-    pub algo: String,
-    pub class: String,
-    pub phase: u64,
-    pub cycles: u64,
-    pub wall_us: u64,
-    pub spans: u64,
-}
-
 /// Per-tenant fold over [`JobRow`]s — the fair-share evidence: how many
 /// jobs each tenant got through and how much device time they consumed.
 #[derive(Debug, Default, Clone)]
@@ -244,8 +231,6 @@ pub struct TraceReport {
     pub series: BTreeMap<(String, String), Vec<(u64, f64)>>,
     /// Allocator name → peak `used` / last `capacity` seen.
     pub alloc_peaks: BTreeMap<String, (u64, u64)>,
-    /// Worklist name → peak `len` / last `capacity` seen.
-    pub worklist_peaks: BTreeMap<String, (u64, u64)>,
     /// Whole-stream counter totals (sum of `LaunchEnd` totals).
     pub totals: CountersSnapshot,
     pub total_wall_us: u64,
@@ -259,8 +244,6 @@ pub struct TraceReport {
     pub alerts: Vec<AlertRow>,
     /// Restart-recovery reconciliation decisions, in stream order.
     pub restores: Vec<RestoreRow>,
-    /// Phase-profiler cells, in stream order.
-    pub profile: Vec<ProfileRow>,
     /// Autotuner actuations, in stream order.
     pub tunes: Vec<TuneRow>,
     /// Morph-lens attribution cells, keyed by (phase, region).
@@ -319,15 +302,6 @@ impl TraceReport {
                 } => {
                     let e = r.alloc_peaks.entry(name.clone()).or_insert((0, 0));
                     e.0 = e.0.max(*used);
-                    e.1 = *capacity;
-                }
-                TraceEvent::Worklist {
-                    name,
-                    len,
-                    capacity,
-                } => {
-                    let e = r.worklist_peaks.entry(name.clone()).or_insert((0, 0));
-                    e.0 = e.0.max(*len);
                     e.1 = *capacity;
                 }
                 TraceEvent::AlgoIteration {
@@ -449,21 +423,6 @@ impl TraceReport {
                     iteration: *iteration,
                     t_us: *t_us,
                     detail: detail.clone(),
-                }),
-                TraceEvent::ProfileSample {
-                    algo,
-                    class,
-                    phase,
-                    cycles,
-                    wall_us,
-                    spans,
-                } => r.profile.push(ProfileRow {
-                    algo: algo.clone(),
-                    class: class.clone(),
-                    phase: *phase,
-                    cycles: *cycles,
-                    wall_us: *wall_us,
-                    spans: *spans,
                 }),
                 TraceEvent::Tune {
                     iteration,
@@ -692,7 +651,7 @@ impl TraceReport {
         out
     }
 
-    /// §7-style waste summary plus allocator/worklist/recovery footnotes.
+    /// §7-style waste summary plus allocator/recovery footnotes.
     pub fn render_waste(&self) -> String {
         let w = self.waste();
         let mut out = String::new();
@@ -725,11 +684,6 @@ impl TraceReport {
         for (name, (peak, cap)) in &self.alloc_peaks {
             out.push_str(&format!(
                 "allocator {name}: high-water {peak} of {cap}\n"
-            ));
-        }
-        for (name, (peak, cap)) in &self.worklist_peaks {
-            out.push_str(&format!(
-                "worklist  {name}: peak occupancy {peak} of {cap}\n"
             ));
         }
         if !self.alerts.is_empty() {
@@ -840,8 +794,8 @@ impl TraceReport {
 
     /// CSV export of the per-launch timeline (machine-readable Fig. 2).
     /// The trailing ratio columns are derived from the cost-model
-    /// counters; streams recorded before the cost model existed decode
-    /// those counters as zero, so the ratios render as 0.
+    /// counters, which read zero on launches run without the cost model
+    /// armed, so the ratios render as 0 there.
     pub fn timeline_csv(&self) -> String {
         let mut out = String::from(
             "iter,launch,wall_us,commits,aborts,warps,divergent_warps,active_threads,idle_threads,atomics,barriers,divergence_ratio,coalescing_factor,occupancy\n",
@@ -865,24 +819,6 @@ impl TraceReport {
                 t.coalescing_factor(),
                 t.occupancy(),
             ));
-        }
-        out
-    }
-
-    /// The phase-profiler cells re-rendered as folded stacks
-    /// (`algo;class;phaseN cycles`) — the flamegraph input format.
-    /// Cells with identical triples (e.g. from several jobs or drains)
-    /// merge by summing cycles.
-    pub fn folded_profile(&self) -> String {
-        let mut cells: BTreeMap<(String, String, u64), u64> = BTreeMap::new();
-        for p in &self.profile {
-            *cells
-                .entry((p.algo.clone(), p.class.clone(), p.phase))
-                .or_insert(0) += p.cycles;
-        }
-        let mut out = String::new();
-        for ((algo, class, phase), cycles) in cells {
-            out.push_str(&format!("{algo};{class};phase{phase} {cycles}\n"));
         }
         out
     }
@@ -927,7 +863,6 @@ mod tests {
     fn span(phase: u64, commits: u64, aborts: u64) -> TraceEvent {
         TraceEvent::PhaseSpan {
             launch: 0,
-            iteration: 0,
             phase,
             wall_us: 10,
             delta: CountersSnapshot {
@@ -1010,11 +945,6 @@ mod tests {
                 used: 9,
                 capacity: 20,
             },
-            TraceEvent::Worklist {
-                name: "wl".into(),
-                len: 3,
-                capacity: 8,
-            },
             TraceEvent::Recovery {
                 iteration: 1,
                 attempt: 1,
@@ -1032,7 +962,6 @@ mod tests {
         ];
         let r = TraceReport::from_events(&events);
         assert_eq!(r.alloc_peaks["pool"], (9, 20));
-        assert_eq!(r.worklist_peaks["wl"], (3, 8));
         let w = r.waste();
         assert_eq!((w.retries, w.regrows, w.rescues), (1, 1, 0));
     }
@@ -1178,40 +1107,19 @@ mod tests {
     }
 
     #[test]
-    fn alerts_and_profile_samples_fold_and_render() {
-        let events = vec![
-            TraceEvent::Alert {
-                monitor: "slo_burn_rate".into(),
-                tenant: "acme".into(),
-                severity: "page".into(),
-                value: 12.0,
-                threshold: 10.0,
-                t_us: 500,
-                detail: "budget burning".into(),
-            },
-            TraceEvent::ProfileSample {
-                algo: "dmr".into(),
-                class: "it0".into(),
-                phase: 1,
-                cycles: 100,
-                wall_us: 10,
-                spans: 2,
-            },
-            TraceEvent::ProfileSample {
-                algo: "dmr".into(),
-                class: "it0".into(),
-                phase: 1,
-                cycles: 50,
-                wall_us: 5,
-                spans: 1,
-            },
-        ];
+    fn alerts_fold_and_render() {
+        let events = vec![TraceEvent::Alert {
+            monitor: "slo_burn_rate".into(),
+            tenant: "acme".into(),
+            severity: "page".into(),
+            value: 12.0,
+            threshold: 10.0,
+            t_us: 500,
+            detail: "budget burning".into(),
+        }];
         let r = TraceReport::from_events(&events);
         assert_eq!(r.alerts.len(), 1);
         assert_eq!(r.alerts[0].tenant, "acme");
-        assert_eq!(r.profile.len(), 2);
-        let folded = r.folded_profile();
-        assert_eq!(folded, "dmr;it0;phase1 150\n");
         let waste = r.render_waste();
         assert!(waste.contains("alerts          : 1"), "{waste}");
         assert!(waste.contains("slo_burn_rate tenant=acme"), "{waste}");
@@ -1281,8 +1189,8 @@ mod tests {
         let header = csv.lines().next().unwrap();
         assert!(header.ends_with("divergence_ratio,coalescing_factor,occupancy"));
         // This fixture has 2/8 divergent warps but no cost-model counters
-        // (like a stream recorded before the cost model existed): the
-        // derived columns render as ratios or zero, never NaN.
+        // (a launch run without the cost model armed): the derived
+        // columns render as ratios or zero, never NaN.
         assert!(csv.lines().nth(1).unwrap().ends_with("0.250000,0.000000,0.000000"));
         assert!(TraceReport::default().render_timeline().lines().count() >= 2);
     }

@@ -424,7 +424,6 @@ mod tests {
         sink.record(marker(7));
         sink.record(TraceEvent::PhaseSpan {
             launch: 1,
-            iteration: 0,
             phase: 2,
             wall_us: 55,
             delta: CountersSnapshot {

@@ -251,19 +251,28 @@ pub mod seq {
         }
 
         /// Sample `amount` distinct indices from `0..length` via a partial
-        /// Fisher–Yates shuffle.
+        /// Fisher–Yates shuffle of the pool `0..length`. Only the positions
+        /// a swap touched are stored, so a call costs O(amount²) time and
+        /// O(amount) memory whatever `length` is (callers sample a handful
+        /// of variables out of thousands); the draws and the result are
+        /// those of shuffling the whole pool.
         pub fn sample<R: RngCore + ?Sized>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
             assert!(
                 amount <= length,
                 "cannot sample {amount} distinct indices from 0..{length}"
             );
-            let mut pool: Vec<usize> = (0..length).collect();
+            // `(position, value)` writes over the identity pool, newest last.
+            let mut moved: Vec<(usize, usize)> = Vec::with_capacity(2 * amount);
+            let at = |moved: &[(usize, usize)], p: usize| {
+                moved.iter().rev().find(|&&(q, _)| q == p).map_or(p, |&(_, v)| v)
+            };
             for i in 0..amount {
                 let j = i + rng.gen_range(0..length - i);
-                pool.swap(i, j);
+                let (vi, vj) = (at(&moved, i), at(&moved, j));
+                moved.push((j, vi));
+                moved.push((i, vj));
             }
-            pool.truncate(amount);
-            IndexVec(pool)
+            IndexVec((0..amount).map(|i| at(&moved, i)).collect())
         }
     }
 }
@@ -337,5 +346,27 @@ mod tests {
         }
         let all = super::seq::index::sample(&mut rng, 4, 4);
         assert_eq!(all.iter().collect::<BTreeSet<_>>().len(), 4);
+    }
+
+    #[test]
+    fn index_sample_matches_a_shuffle_of_the_whole_pool() {
+        // The pool-free sample must draw and return exactly what a
+        // partial Fisher–Yates over a materialised `0..length` does, so
+        // generated inputs stay the same for every seed.
+        for seed in 0..50 {
+            for (length, amount) in [(1, 1), (4, 4), (20, 5), (2000, 3), (64, 64)] {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                let got = super::seq::index::sample(&mut a, length, amount).into_vec();
+                let mut pool: Vec<usize> = (0..length).collect();
+                for i in 0..amount {
+                    let j = i + b.gen_range(0..length - i);
+                    pool.swap(i, j);
+                }
+                pool.truncate(amount);
+                assert_eq!(got, pool, "seed {seed}, {amount} of {length}");
+                assert_eq!(a.next_u64(), b.next_u64(), "same number of draws");
+            }
+        }
     }
 }

@@ -10,11 +10,12 @@
 //! * [`pta`] — Andersen-style points-to analysis,
 //! * [`mst`] — Boruvka's minimum spanning tree,
 //! * [`core`] — the generic morph techniques (conflict resolution,
-//!   addition/deletion strategies, adaptive parallelism, worklists,
-//!   push/pull propagation),
+//!   addition/deletion strategies, adaptive parallelism, divergence
+//!   compaction) and the recovering host loop and pipeline runner the
+//!   four algorithms share,
 //! * [`gpu_sim`] — the virtual GPU those run on,
-//! * [`trace`] — structured tracing: sinks, JSONL streams, and the
-//!   profiler aggregator behind `trace-report`,
+//! * [`trace`] — structured tracing: sinks, JSONL streams, the report
+//!   aggregator behind `trace-report`, and the phase profiler,
 //! * [`metrics`] — the live metrics registry: sharded counters, gauges,
 //!   mergeable log₂ histograms, Prometheus-style + JSON exposition,
 //! * [`tune`] — the closed-loop autotuner: a feedback controller over

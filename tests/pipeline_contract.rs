@@ -6,6 +6,8 @@
 //!   payload's completed-iteration header − 1, and still reaches the
 //!   uninterrupted run's end state;
 //! - a `Regrow` step is never checkpointed as a completed iteration;
+//! - a resumed run's profiler attributes its launches to absolute
+//!   iterations, as its markers and checkpoints do;
 //! - per step, the trace reads launch events, then algorithm markers, then
 //!   the checkpoint;
 //! - the SP and MST payload bytes after iteration 1 are pinned, so the
@@ -17,7 +19,9 @@ use morphgpu::dmr::{self, DmrOpts};
 use morphgpu::gpu_sim::FaultPlan;
 use morphgpu::sp::surveys::Surveys;
 use morphgpu::sp::{self, FactorGraph};
-use morphgpu::trace::{RecoveryKind, RingSink, TraceEvent, TraceSink, Tracer};
+use morphgpu::trace::{
+    PhaseProfiler, ProfilerScope, RecoveryKind, RingSink, TraceEvent, TraceSink, Tracer,
+};
 use morphgpu::workloads;
 use morphgpu::{mst, pta};
 use std::sync::Arc;
@@ -128,6 +132,32 @@ fn dmr_resumes_twice_to_a_refined_mesh() {
     });
     assert_eq!(mesh.stats().bad, 0);
     mesh.validate(true).unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
+fn a_resumed_run_profiles_absolute_iterations() {
+    let f = workloads::ksat::random_ksat(200, 700, 3, 23);
+    let fg = FactorGraph::new(&f);
+    let surveys = Surveys::init(&fg, 5);
+    let store = Arc::new(CheckpointStore::in_memory());
+    let mut killed = stage(&store, true, Tracer::default());
+    killed.fault_plan = Some(Arc::new(FaultPlan::new().with_kernel_panic(4, 0, 0, 0)));
+    sp::gpu::try_propagate(&fg, &surveys, 1e-3, 300, 2, &killed).unwrap_err();
+    assert_eq!(stored(&store), (3, 4), "iterations 0..=3 completed");
+
+    let profiler = Arc::new(PhaseProfiler::new());
+    let mut resumed = stage(&store, false, Tracer::default());
+    resumed.profiler = Some(ProfilerScope::new(Arc::clone(&profiler), "sp"));
+    sp::gpu::try_propagate(&fg, &surveys, 1e-3, 300, 2, &resumed).unwrap();
+    let folded = profiler.to_folded();
+    assert!(!folded.is_empty(), "the resumed stage was profiled");
+    for line in folded.lines() {
+        let class = line.split(';').nth(1).unwrap();
+        assert!(
+            !["it0", "it1", "it2-3"].contains(&class),
+            "a resumed iteration landed in {class}: {folded}"
+        );
+    }
 }
 
 fn traced() -> (Arc<RingSink>, Tracer) {
