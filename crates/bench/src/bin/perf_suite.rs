@@ -34,11 +34,9 @@
 //! Exit codes: 0 ok, 1 hard error (I/O, parse, missing pipeline),
 //! 2 regression beyond tolerance (CI soft-fails on 2, hard-fails on 1).
 
+use morph_bench::drive_calibrated;
 use morph_core::runtime::RecoveryOpts;
 use morph_core::{AutoTuner, TuneConfig};
-use morph_dmr::DmrOpts;
-use morph_sp::surveys::Surveys;
-use morph_sp::FactorGraph;
 use morph_trace::json::{parse, JsonValue};
 use morph_gpu_sim::{LensHub, LensRow};
 use morph_trace::{CountersSnapshot, RingSink, TraceEvent, Tracer};
@@ -172,44 +170,6 @@ impl PipelineRow {
     }
 }
 
-/// Drive one calibrated workload under the given recovery options;
-/// returns `(iterations, work_items)`. The geometries match the trace
-/// smoke job — small enough for CI, large enough that every phase runs
-/// multiple warps. Shared by `run` (tracer armed) and `diff` (lens
-/// armed).
-fn drive_workload(algo: &str, recovery: &RecoveryOpts) -> Result<(u64, u64), String> {
-    match algo {
-        "dmr" => {
-            let mut mesh = morph_workloads::mesh::random_mesh::<f64>(400, 7);
-            let out = morph_dmr::gpu::try_refine_gpu(&mut mesh, DmrOpts::default(), 2, recovery)
-                .map_err(|e| e.to_string())?;
-            Ok((out.iterations, out.stats.refined))
-        }
-        "sp" => {
-            let f = morph_workloads::ksat::random_ksat(200, 700, 3, 23);
-            let fg = FactorGraph::new(&f);
-            let s = Surveys::init(&fg, 5);
-            let (sweeps, _) = morph_sp::gpu::try_propagate(&fg, &s, 1e-3, 60, 2, recovery)
-                .map_err(|e| e.to_string())?;
-            Ok((sweeps as u64, fg.num_clauses as u64))
-        }
-        "pta" => {
-            let prob = morph_workloads::pta::synthetic(80, 220, 5);
-            let out =
-                morph_pta::gpu::try_solve_with(&prob, morph_pta::gpu::PtaOpts::default(), 2, recovery)
-                    .map_err(|e| e.to_string())?;
-            Ok((out.iterations, prob.constraints.len() as u64))
-        }
-        "mst" => {
-            let g = morph_workloads::graphs::random_graph(300, 900, 3);
-            let out =
-                morph_mst::gpu::try_mst_with_stats(&g, 2, recovery).map_err(|e| e.to_string())?;
-            Ok((out.result.rounds as u64, g.num_edges() as u64))
-        }
-        other => Err(format!("unknown algorithm {other:?}")),
-    }
-}
-
 /// Run one calibrated pipeline with a ring tracer attached and fold its
 /// launch totals.
 fn run_pipeline(algo: &'static str, autotune: bool) -> Result<PipelineRow, String> {
@@ -224,7 +184,7 @@ fn run_pipeline(algo: &'static str, autotune: bool) -> Result<PipelineRow, Strin
         ..RecoveryOpts::default()
     };
     let start = Instant::now();
-    let (iterations, work_items) = drive_workload(algo, &recovery)?;
+    let (iterations, work_items) = drive_calibrated(algo, &recovery)?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut totals = CountersSnapshot::default();
@@ -513,7 +473,7 @@ fn lens_rows(algo: &str) -> Result<Vec<LensRow>, String> {
         lens: hub.clone(),
         ..RecoveryOpts::default()
     };
-    drive_workload(algo, &recovery)?;
+    drive_calibrated(algo, &recovery)?;
     Ok(hub.snapshot().rows)
 }
 

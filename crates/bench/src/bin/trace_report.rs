@@ -31,11 +31,9 @@
 //! come from the engine's hardware cost model, so the widths rank phases
 //! by modelled device time, not host wall time.
 
+use morph_bench::drive_calibrated;
 use morph_core::runtime::RecoveryOpts;
 use morph_dmr::profile::parallelism_profile_traced;
-use morph_dmr::DmrOpts;
-use morph_sp::surveys::Surveys;
-use morph_sp::FactorGraph;
 use morph_trace::{parse_jsonl, JsonlSink, PhaseProfiler, ProfilerScope, TraceReport, Tracer};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -71,46 +69,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run one small pipeline per algorithm against the given recovery
-/// options. Shared by `run` (tracer armed) and `flamegraph` (profiler
-/// armed).
-fn drive_pipeline(algo: &str, recovery: &RecoveryOpts) -> Result<(), String> {
-    match algo {
-        "dmr" => {
-            let mut mesh = morph_workloads::mesh::random_mesh::<f64>(400, 7);
-            morph_dmr::gpu::try_refine_gpu(&mut mesh, DmrOpts::default(), 2, recovery)
-                .map(|out| {
-                    eprintln!(
-                        "dmr: {} iterations, {} refined",
-                        out.iterations, out.stats.refined
-                    );
-                })
-                .map_err(|e| e.to_string())
-        }
-        "sp" => {
-            let f = morph_workloads::ksat::random_ksat(200, 700, 3, 23);
-            let fg = FactorGraph::new(&f);
-            let s = Surveys::init(&fg, 5);
-            morph_sp::gpu::try_propagate(&fg, &s, 1e-3, 60, 2, recovery)
-                .map(|(sweeps, _)| eprintln!("sp: {sweeps} sweeps"))
-                .map_err(|e| e.to_string())
-        }
-        "pta" => {
-            let prob = morph_workloads::pta::synthetic(80, 220, 5);
-            morph_pta::gpu::try_solve_with(&prob, morph_pta::gpu::PtaOpts::default(), 2, recovery)
-                .map(|out| eprintln!("pta: {} iterations", out.iterations))
-                .map_err(|e| e.to_string())
-        }
-        "mst" => {
-            let g = morph_workloads::graphs::random_graph(300, 900, 3);
-            morph_mst::gpu::try_mst_with_stats(&g, 2, recovery)
-                .map(|out| eprintln!("mst: {} rounds", out.result.rounds))
-                .map_err(|e| e.to_string())
-        }
-        other => Err(format!("unknown algorithm {other:?}")),
-    }
-}
-
 /// Run one small pipeline with a JSONL sink attached through the
 /// recovering driver, so the stream contains launch spans, per-phase
 /// counter deltas, recovery decisions and algorithm iteration markers.
@@ -128,10 +86,12 @@ fn run(algo: &str, path: &str) -> ExitCode {
         ..RecoveryOpts::default()
     };
 
-    let outcome = drive_pipeline(algo, &recovery);
-    if let Err(e) = outcome {
-        eprintln!("trace-report: {algo} pipeline failed: {e}");
-        return ExitCode::FAILURE;
+    match drive_calibrated(algo, &recovery) {
+        Ok((iterations, _)) => eprintln!("{algo}: {iterations} iterations"),
+        Err(e) => {
+            eprintln!("trace-report: {algo} pipeline failed: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     if algo == "dmr" {
         // Also record the ParaMeter-style Fig. 2 series so the report's
@@ -159,7 +119,7 @@ fn flamegraph(algo: &str, path: &str) -> ExitCode {
         profiler: Some(ProfilerScope::new(Arc::clone(&profiler), algo)),
         ..RecoveryOpts::default()
     };
-    if let Err(e) = drive_pipeline(algo, &recovery) {
+    if let Err(e) = drive_calibrated(algo, &recovery) {
         eprintln!("trace-report: {algo} pipeline failed: {e}");
         return ExitCode::FAILURE;
     }
@@ -187,7 +147,7 @@ fn lens(algo: &str) -> ExitCode {
         lens: hub.clone(),
         ..RecoveryOpts::default()
     };
-    if let Err(e) = drive_pipeline(algo, &recovery) {
+    if let Err(e) = drive_calibrated(algo, &recovery) {
         eprintln!("trace-report: {algo} pipeline failed: {e}");
         return ExitCode::FAILURE;
     }

@@ -2,8 +2,9 @@
 //!
 //! One module per table/figure of the evaluation section (§8). The
 //! [`tables`](../src/bin/tables.rs) binary prints them
-//! (`cargo run -p morph-bench --release --bin tables -- all`), and the
-//! Criterion benches in `benches/` time the same workloads statistically.
+//! (`cargo run -p morph-bench --release --bin tables -- all`).
+//! [`drive_calibrated`] is the small four-pipeline table the `perf-suite`
+//! and `trace-report` binaries share.
 //!
 //! Scale: the paper ran meshes of up to 10 M triangles on a 448-core
 //! Fermi and a 48-core Xeon; we default to laptop-scale inputs (~50–100×
@@ -19,6 +20,11 @@ pub mod fig8_ablation;
 pub mod fig9_sp;
 pub mod shape_check;
 
+use morph_core::runtime::RecoveryOpts;
+use morph_dmr::DmrOpts;
+use morph_pta::gpu::PtaOpts;
+use morph_sp::surveys::Surveys;
+use morph_sp::FactorGraph;
 use std::time::{Duration, Instant};
 
 /// Workload scale selected via `MORPH_SCALE`.
@@ -80,6 +86,41 @@ pub fn time_best<R>(k: usize, mut f: impl FnMut() -> R) -> (R, Duration) {
         out = Some(r);
     }
     (out.unwrap(), best)
+}
+
+/// Drive one calibrated pipeline (`dmr`, `sp`, `pta` or `mst`) under
+/// `recovery`; returns `(iterations, work_items)`. The inputs are small
+/// enough for CI and large enough that every phase runs multiple warps.
+pub fn drive_calibrated(algo: &str, recovery: &RecoveryOpts) -> Result<(u64, u64), String> {
+    match algo {
+        "dmr" => {
+            let mut mesh = morph_workloads::mesh::random_mesh::<f64>(400, 7);
+            let out = morph_dmr::gpu::try_refine_gpu(&mut mesh, DmrOpts::default(), 2, recovery)
+                .map_err(|e| e.to_string())?;
+            Ok((out.iterations, out.stats.refined))
+        }
+        "sp" => {
+            let f = morph_workloads::ksat::random_ksat(200, 700, 3, 23);
+            let fg = FactorGraph::new(&f);
+            let s = Surveys::init(&fg, 5);
+            let (sweeps, _) = morph_sp::gpu::try_propagate(&fg, &s, 1e-3, 60, 2, recovery)
+                .map_err(|e| e.to_string())?;
+            Ok((sweeps as u64, fg.num_clauses as u64))
+        }
+        "pta" => {
+            let prob = morph_workloads::pta::synthetic(80, 220, 5);
+            let out = morph_pta::gpu::try_solve_with(&prob, PtaOpts::default(), 2, recovery)
+                .map_err(|e| e.to_string())?;
+            Ok((out.iterations, prob.constraints.len() as u64))
+        }
+        "mst" => {
+            let g = morph_workloads::graphs::random_graph(300, 900, 3);
+            let out =
+                morph_mst::gpu::try_mst_with_stats(&g, 2, recovery).map_err(|e| e.to_string())?;
+            Ok((out.result.rounds as u64, g.num_edges() as u64))
+        }
+        other => Err(format!("unknown algorithm {other:?}")),
+    }
 }
 
 /// Milliseconds with two decimals, for table cells.

@@ -12,9 +12,10 @@
 /// Schedule of threads-per-block across host-loop iterations.
 ///
 /// This is the *open-loop* schedule: [`tpb_for_iteration`] is a pure
-/// function of the iteration number and never consults measured
+/// function of the absolute iteration number (a resumed run continues
+/// where its checkpoint left the schedule) and never consults measured
 /// counters. Two other actors can override it inside
-/// `drive_recovering`, in strict precedence order:
+/// [`crate::run_morph`]'s host loop, in strict precedence order:
 ///
 /// * a **serial rescue** ([`runtime::RescueLevel::Serial`]) pins a 1×1
 ///   grid until progress resumes — it beats both this schedule and any

@@ -13,8 +13,8 @@
 //! | §7.2 subgraph deletion (marking / explicit compaction) | [`deletion`] |
 //! | §7.4 adaptive parallelism | [`adaptive`] |
 //! | §7.6 thread-divergence reduction by compaction | [`compact`] |
-//! | Fig. 3 host do–while driver | [`runtime`] |
-//! | one pipeline contract around that driver | [`pipeline`] |
+//! | Fig. 3 host do–while: recovery options, policy and outcomes | [`runtime`] |
+//! | one pipeline contract and its one host loop, [`run_morph`] | [`pipeline`] |
 //!
 //! The four algorithm crates (`morph-dmr`, `morph-sp`, `morph-pta`,
 //! `morph-mst`) are built from these pieces. Two §7 techniques have no
@@ -49,6 +49,6 @@ pub use morph_gpu_sim::{MetricsHub, MetricsRegistry, MetricsSnapshot};
 pub use morph_tune::{AutoTuner, ConflictPolicy, Controller, TuneConfig, TuneDecision, TuneInput};
 pub use pipeline::{run_morph, Morph};
 pub use runtime::{
-    drive_recovering, DriveError, DriveOutcome, HostAction, RecoveryOpts, RecoveryPolicy,
-    RescueLevel, StepCtx, StepReport,
+    DriveError, DriveOutcome, HostAction, RecoveryOpts, RecoveryPolicy, RescueLevel, StepCtx,
+    StepReport,
 };

@@ -30,7 +30,7 @@ pub trait Morph {
     /// Launch geometry and §7.4 schedule. Called once, after any
     /// checkpoint was restored, so it may size per-launch state from the
     /// restored input. Without a schedule an attached autotuner's tpb band
-    /// collapses to the configured value: it acts only inside the driver,
+    /// collapses to the configured value: it acts only inside the loop,
     /// pinning serial windows on abort storms.
     fn config(&mut self) -> (GpuConfig, Option<AdaptiveParallelism>);
 
@@ -43,8 +43,8 @@ pub trait Morph {
     /// re-runs an overflowed iteration ([`HostAction::Regrow`]).
     fn regrow(&mut self, _capacity: usize) {}
 
-    /// One launch attempt plus the host work around it. `ctx` is the
-    /// driver's, unchanged: `ctx.iteration` counts from this run's start.
+    /// One launch attempt plus the host work around it. `ctx.iteration`
+    /// is absolute: a resumed run starts at the restored completed count.
     fn step(&mut self, gpu: &mut VirtualGpu, ctx: &StepCtx) -> Result<StepReport, LaunchError>;
 
     /// Algorithm-level trace events for the step just run, at absolute
@@ -78,13 +78,12 @@ pub fn marker<M: Morph>(iteration: u64, metric: &str, value: f64) -> TraceEvent 
     }
 }
 
-/// Run `m` to completion under `recovery`. Returns the driver's outcome
-/// and `base`, the iterations a restored checkpoint had completed; the
-/// run's absolute iteration count is `base + outcome.iterations`.
-pub fn run_morph<M: Morph>(
-    m: &mut M,
-    recovery: &RecoveryOpts,
-) -> Result<(DriveOutcome, u64), DriveError> {
+/// Run `m` to completion under `recovery`: resume from a stored
+/// checkpoint if there is one, build and arm the GPU, register lens
+/// regions, then drive the recovering loop from the restored iteration.
+/// The outcome's `iterations` is absolute; its `stats.iterations` counts
+/// only this run's iterations.
+pub fn run_morph<M: Morph>(m: &mut M, recovery: &RecoveryOpts) -> Result<DriveOutcome, DriveError> {
     let base = recovery
         .checkpoint
         .as_ref()
@@ -95,58 +94,7 @@ pub fn run_morph<M: Morph>(
     let mut gpu = VirtualGpu::new(config);
     recovery.arm(&mut gpu);
     register_lens(&gpu, m);
-    // The oracle gate: the oracle runs after every recovery escalation
-    // (the first step at a higher rescue level — the retried or relaid-out
-    // state is where recycling and ownership bugs surface) and at Stop.
-    #[cfg(feature = "morph-check")]
-    let mut last_rescue = None;
-    // Each payload is presized to the previous one's length.
-    let mut payload_len = 0;
-    let outcome = drive_recovering(&mut gpu, adaptive, &recovery.policy, |gpu, ctx| {
-        if let Some(capacity) = ctx.regrow_to {
-            m.regrow(capacity);
-            register_lens(gpu, m);
-        }
-        let iteration = base + ctx.iteration;
-        if let Some(p) = &gpu.observers().profiler {
-            p.set_host_iteration(iteration);
-        }
-        let report = m.step(gpu, ctx)?;
-        let tracer = &gpu.observers().tracer;
-        if tracer.enabled() {
-            for event in m.markers(iteration, report.action) {
-                tracer.emit(|| event);
-            }
-        }
-        #[cfg(feature = "morph-check")]
-        {
-            let escalated = last_rescue.is_some_and(|prev| ctx.rescue > prev);
-            last_rescue = Some(ctx.rescue);
-            let done = report.action == HostAction::Stop;
-            if escalated || done {
-                if let Some(result) = m.oracle(done) {
-                    report_oracle(tracer, M::CHECK, result);
-                }
-            }
-        }
-        // Only a `Continue` step completed its iteration: a `Regrow` or
-        // `Retry` step re-runs it and a `Stop` step ends the run.
-        if let Some(ck) = &recovery.checkpoint {
-            if report.action == HostAction::Continue && ck.due(iteration) {
-                ck.save(tracer, M::ALGO, iteration, || {
-                    let mut w = PayloadWriter::with_capacity(payload_len);
-                    w.u32(M::TAG);
-                    w.u64(iteration + 1);
-                    m.encode(&mut w);
-                    let bytes = w.finish();
-                    payload_len = bytes.len();
-                    bytes
-                });
-            }
-        }
-        Ok(report)
-    })?;
-    Ok((outcome, base))
+    drive_recovering(&mut gpu, m, adaptive, recovery, base)
 }
 
 /// Restore `payload` into `m` if it is this pipeline's: tag, completed
@@ -164,7 +112,7 @@ pub fn resume<M: Morph>(m: &mut M, payload: &[u8]) -> Option<u64> {
     Some(completed)
 }
 
-fn register_lens<M: Morph>(gpu: &VirtualGpu, m: &M) {
+pub(crate) fn register_lens<M: Morph>(gpu: &VirtualGpu, m: &M) {
     let lens = &gpu.observers().lens;
     if lens.is_enabled() {
         for (name, base, len) in m.lens_regions() {
@@ -177,7 +125,7 @@ fn register_lens<M: Morph>(gpu: &VirtualGpu, m: &M) {
 /// flush the trace and trap with the diagnostic, failing the pipeline the
 /// way an in-kernel sanitizer trap would.
 #[cfg(feature = "morph-check")]
-fn report_oracle(tracer: &morph_trace::Tracer, check: &str, result: Result<(), String>) {
+pub(crate) fn report_oracle(tracer: &morph_trace::Tracer, check: &str, result: Result<(), String>) {
     let (status, detail) = match &result {
         Ok(()) => ("ok", String::new()),
         Err(detail) => ("violation", detail.clone()),

@@ -11,9 +11,10 @@
 //!     transfer refined graph            // GPU → CPU
 //! ```
 //!
-//! [`drive_recovering`] runs that loop: launch, let the step callback
-//! inspect device state (the `changed` flag, allocator overflow, …) and
-//! perform reallocation, apply the adaptive-parallelism schedule, repeat.
+//! [`crate::run_morph`] runs that loop through `drive_recovering`:
+//! launch, let the pipeline's [`Morph::step`] inspect device state (the
+//! `changed` flag, allocator overflow, …), regrow through
+//! [`Morph::regrow`], apply the adaptive-parallelism schedule, repeat.
 //! Launches go through [`morph_gpu_sim::VirtualGpu::try_launch`]: failed
 //! launches are retried a bounded number of times, allocator overflow
 //! triggers capacity growth without losing the iteration, and a livelock
@@ -23,7 +24,8 @@
 //! resolution can livelock, turned into a runtime safety net.
 
 use crate::adaptive::AdaptiveParallelism;
-use crate::checkpoint::CheckpointCtl;
+use crate::checkpoint::{CheckpointCtl, PayloadWriter};
+use crate::pipeline::{register_lens, Morph};
 use morph_gpu_sim::{
     CancelToken, FaultPlan, LaunchError, LaunchStats, LensHub, MetricsHub, Observers, VirtualGpu,
 };
@@ -41,16 +43,12 @@ pub enum HostAction {
     /// The algorithm converged (or failed); stop the loop.
     Stop,
     /// Device pools overflowed: grow to (at least) the given capacity and
-    /// re-run the *same* iteration. The capacity is advisory — the step
-    /// callback performs the actual reallocation on its next invocation
-    /// (via [`StepCtx::regrow_to`]).
+    /// re-run the *same* iteration. The capacity is advisory — the driver
+    /// hands it to [`Morph::regrow`] before the re-run.
     Regrow(usize),
-    /// Re-run the same iteration (e.g. the host rolled back a partial
-    /// result). Counts against [`RecoveryPolicy::max_retries`].
-    Retry,
 }
 
-/// Bounds on the recovery machinery of [`drive_recovering`].
+/// Bounds on the recovery machinery of [`crate::run_morph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Consecutive failed/retried attempts of one iteration before the
@@ -93,14 +91,14 @@ pub struct RecoveryOpts {
     /// Barrier watchdog timeout; stalled launches surface as
     /// [`morph_gpu_sim::LaunchError::BarrierStall`] and are retried.
     pub barrier_watchdog: Option<Duration>,
-    /// Launch spans are emitted by the engine; [`drive_recovering`] emits
+    /// Launch spans are emitted by the engine; [`crate::run_morph`] emits
     /// one `Recovery` event per retry/regrow/rescue decision and one
     /// `Tune` event per decision change through the same handle.
     pub tracer: Tracer,
     /// The engine's cost-model series land here, and so do
-    /// [`drive_recovering`]'s `morph_tune_*` series.
+    /// [`crate::run_morph`]'s `morph_tune_*` series.
     pub metrics: MetricsHub,
-    /// Cooperative cancellation token. [`drive_recovering`] checks it at
+    /// Cooperative cancellation token. [`crate::run_morph`] checks it at
     /// every host-action boundary (before each launch attempt) and unwinds
     /// with [`DriveError::Cancelled`] when raised — the owner of the other
     /// handle (a job scheduler, a signal handler) gets the device back with
@@ -110,7 +108,7 @@ pub struct RecoveryOpts {
     /// [`crate::run_morph`] never builds a snapshot payload.
     pub checkpoint: Option<CheckpointCtl>,
     /// Progress heartbeat shared with an external watchdog: each completed
-    /// launch beats, and so does [`drive_recovering`] at every host-action
+    /// launch beats, and so does [`crate::run_morph`] at every host-action
     /// boundary.
     pub heartbeat: Option<Arc<AtomicU64>>,
     /// Phase-profiler scope. [`crate::run_morph`] sets its host iteration
@@ -118,7 +116,7 @@ pub struct RecoveryOpts {
     /// in the right iteration class, also after a resume.
     pub profiler: Option<ProfilerScope>,
     /// Autotuner handle (`morph-tune`). Detached, the paper's fixed §7.4
-    /// schedules apply; enabled, [`drive_recovering`] builds one
+    /// schedules apply; enabled, [`crate::run_morph`] builds one
     /// [`Controller`] per run and follows its per-iteration
     /// [`TuneDecision`]s (geometry, conflict policy, compaction/reordering
     /// requests) instead.
@@ -167,26 +165,24 @@ pub enum RescueLevel {
     Serial,
 }
 
-/// Everything a pipeline's step callback needs to know about the attempt
-/// it is asked to run.
+/// Everything a pipeline's [`Morph::step`] needs to know about the
+/// attempt it is asked to run.
 #[derive(Clone, Copy, Debug)]
 pub struct StepCtx {
-    /// Host-loop iteration (advances only on [`HostAction::Continue`]).
+    /// Absolute host-loop iteration: a resumed run starts at the restored
+    /// completed count. Advances only on [`HostAction::Continue`].
     pub iteration: u64,
     /// 0 for the first attempt of this iteration; >0 for retries after a
-    /// launch failure or [`HostAction::Retry`] — the callback must repair
-    /// any partial device state before relaunching.
+    /// launch failure — the step must repair any partial device state
+    /// before relaunching.
     pub attempt: u32,
-    /// Set when the previous attempt asked for [`HostAction::Regrow`]:
-    /// grow device pools to at least this capacity before launching.
-    pub regrow_to: Option<usize>,
     /// Current rung of the rescue ladder. At [`RescueLevel::Serial`] the
-    /// driver has already set a 1×1 geometry; the callback must not
+    /// driver has already set a 1×1 geometry; the step must not
     /// override it.
     pub rescue: RescueLevel,
     /// The autotuner's decision for this attempt, when a tuner is
     /// attached ([`RecoveryOpts::tuner`]). Geometry and conflict policy
-    /// are already actuated by the driver; the callback honours the
+    /// are already actuated by the driver; the step honours the
     /// `compact` / `reorder` requests where its pipeline supports them.
     /// `None` when the tuner is detached — the fixed schedules apply.
     pub tune: Option<TuneDecision>,
@@ -265,12 +261,13 @@ impl std::error::Error for DriveError {
 /// Summary of a completed recovering drive.
 #[derive(Debug, Default, Clone)]
 pub struct DriveOutcome {
-    /// Accumulated launch statistics (successful attempts only).
+    /// Accumulated launch statistics (successful attempts only). Its
+    /// `iterations` counts only the iterations this run executed.
     pub stats: LaunchStats,
-    /// Host-loop iterations completed.
+    /// Absolute host-loop iterations completed, including those a
+    /// restored checkpoint had completed.
     pub iterations: u64,
-    /// Attempts that were retries (after a launch failure or
-    /// [`HostAction::Retry`]).
+    /// Attempts that were retries after a launch failure.
     pub retries: u32,
     /// Capacity regrows performed.
     pub regrows: u32,
@@ -279,14 +276,18 @@ pub struct DriveOutcome {
 }
 
 /// The host loop of Figure 3, fault-tolerant: bounded retry, overflow
-/// regrow, and a livelock watchdog.
+/// regrow, and a livelock watchdog. [`crate::run_morph`] is its only
+/// caller; `base` is the completed-iteration count a restored checkpoint
+/// carried, and the loop's one counter starts there, so geometry, tuner
+/// decisions, errors, events, markers, checkpoints and profiler classes
+/// all see the absolute iteration.
 ///
-/// The `step` callback runs one launch attempt end-to-end: perform any
-/// repair/regrowth the [`StepCtx`] asks for, launch through
-/// [`VirtualGpu::try_launch`] (or equivalent), inspect device state, and
-/// report. Returning `Err` means the launch itself died — the driver
-/// retries the same iteration up to [`RecoveryPolicy::max_retries`] times;
-/// the callback sees `attempt > 0` and must restore any invariants a
+/// Each attempt: grow pools through [`Morph::regrow`] if the previous
+/// attempt asked for it, run [`Morph::step`] (one launch plus its host
+/// work), then emit the step's markers, run the oracle gate and save a
+/// due checkpoint. A step that returns `Err` died in its launch — the
+/// driver retries the same iteration up to [`RecoveryPolicy::max_retries`]
+/// times; the step sees `attempt > 0` and must restore any invariants a
 /// half-run kernel may have broken.
 ///
 /// Geometry precedence, highest first:
@@ -308,21 +309,30 @@ pub struct DriveOutcome {
 ///    to pre-tuner behaviour (regression-tested below).
 /// 4. **Configured geometry** — neither given: the GPU's configured
 ///    `blocks × threads_per_block`.
-pub fn drive_recovering(
+pub(crate) fn drive_recovering<M: Morph>(
     gpu: &mut VirtualGpu,
+    m: &mut M,
     adaptive: Option<AdaptiveParallelism>,
-    policy: &RecoveryPolicy,
-    mut step: impl FnMut(&mut VirtualGpu, &StepCtx) -> Result<StepReport, LaunchError>,
+    recovery: &RecoveryOpts,
+    base: u64,
 ) -> Result<DriveOutcome, DriveError> {
+    let policy = &recovery.policy;
     let mut out = DriveOutcome::default();
     let tracer = gpu.observers().tracer.clone();
     let blocks = gpu.config().blocks;
     let normal_tpb = gpu.config().threads_per_block;
-    let mut iteration = 0u64;
+    let mut iteration = base;
     let mut attempt = 0u32;
     let mut regrow_to: Option<usize> = None;
     let mut stagnant = 0u32;
     let mut rescue = RescueLevel::None;
+    // The oracle gate: the oracle runs after every recovery escalation
+    // (the first step at a higher rescue level — the retried or relaid-out
+    // state is where recycling and ownership bugs surface) and at Stop.
+    #[cfg(feature = "morph-check")]
+    let mut last_rescue = None;
+    // Each checkpoint payload is presized to the previous one's length.
+    let mut payload_len = 0;
 
     // Closed-loop autotuning: one controller per run, bounded by the
     // adaptive schedule's band (or pinned to the configured geometry when
@@ -398,15 +408,21 @@ pub fn drive_recovering(
             gpu.set_geometry(blocks, normal_tpb);
         }
 
+        if let Some(capacity) = regrow_to.take() {
+            m.regrow(capacity);
+            register_lens(gpu, m);
+        }
+        if let Some(p) = &gpu.observers().profiler {
+            p.set_host_iteration(iteration);
+        }
         let ctx = StepCtx {
             iteration,
             attempt,
-            regrow_to: regrow_to.take(),
             rescue,
             tune: decision,
         };
         let step_start = Instant::now();
-        let report = match step(gpu, &ctx) {
+        let report = match m.step(gpu, &ctx) {
             Ok(report) => report,
             Err(error) => {
                 // A failed attempt is pure recovery overhead: the whole
@@ -441,6 +457,37 @@ pub fn drive_recovering(
                 continue;
             }
         };
+        if tracer.enabled() {
+            for event in m.markers(iteration, report.action) {
+                tracer.emit(|| event);
+            }
+        }
+        #[cfg(feature = "morph-check")]
+        {
+            let escalated = last_rescue.is_some_and(|prev| rescue > prev);
+            last_rescue = Some(rescue);
+            let done = report.action == HostAction::Stop;
+            if escalated || done {
+                if let Some(result) = m.oracle(done) {
+                    crate::pipeline::report_oracle(&tracer, M::CHECK, result);
+                }
+            }
+        }
+        // Only a `Continue` step completed its iteration: a `Regrow` step
+        // re-runs it and a `Stop` step ends the run.
+        if let Some(ck) = &recovery.checkpoint {
+            if report.action == HostAction::Continue && ck.due(iteration) {
+                ck.save(&tracer, M::ALGO, iteration, || {
+                    let mut w = PayloadWriter::with_capacity(payload_len);
+                    w.u32(M::TAG);
+                    w.u64(iteration + 1);
+                    m.encode(&mut w);
+                    let bytes = w.finish();
+                    payload_len = bytes.len();
+                    bytes
+                });
+            }
+        }
         if ctx.attempt > 0 {
             // The successful re-run of a retried iteration would not have
             // happened on a clean run either: its launch time is part of
@@ -504,7 +551,7 @@ pub fn drive_recovering(
         match report.action {
             HostAction::Stop => {
                 out.iterations = iteration + 1;
-                out.stats.iterations = out.iterations;
+                out.stats.iterations = out.iterations - base;
                 return Ok(out);
             }
             HostAction::Continue => {
@@ -536,42 +583,6 @@ pub fn drive_recovering(
                 regrow_to = Some(capacity);
                 // Same iteration runs again with the bigger pool; this is
                 // recovery, not a retry, so the attempt budget is unspent.
-            }
-            HostAction::Retry => {
-                // A host-demanded re-run is recovery overhead just like a
-                // failed launch: the discarded attempt is billed too
-                // (unless it was itself a retry, already billed above).
-                if ctx.attempt == 0 {
-                    out.stats.retry_wall += report.stats.wall;
-                }
-                attempt += 1;
-                out.retries += 1;
-                if attempt > policy.max_retries {
-                    tracer.emit(|| TraceEvent::Recovery {
-                        iteration,
-                        attempt: attempt as u64,
-                        kind: RecoveryKind::GiveUp,
-                        capacity: 0,
-                        detail: "host requested retries exhausted".into(),
-                    });
-                    return Err(DriveError::Launch {
-                        iteration,
-                        attempts: attempt,
-                        error: LaunchError::KernelPanic {
-                            worker: 0,
-                            block: 0,
-                            phase: 0,
-                            message: "host requested retries exhausted".into(),
-                        },
-                    });
-                }
-                tracer.emit(|| TraceEvent::Recovery {
-                    iteration,
-                    attempt: attempt as u64,
-                    kind: RecoveryKind::Retry,
-                    capacity: 0,
-                    detail: "host requested retry".into(),
-                });
             }
         }
 
@@ -613,9 +624,73 @@ pub fn drive_recovering(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::PayloadReader;
     use morph_gpu_sim::{FaultPlan, GpuConfig, Kernel, ThreadCtx};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
+
+    /// A test pipeline on [`GpuConfig::small`]: `step` runs each attempt
+    /// and `regrow` sees each granted capacity.
+    struct Steps<F, G> {
+        step: F,
+        regrow: G,
+    }
+
+    impl<F, G> Morph for Steps<F, G>
+    where
+        F: FnMut(&mut VirtualGpu, &StepCtx) -> Result<StepReport, LaunchError>,
+        G: FnMut(usize),
+    {
+        const ALGO: &'static str = "test";
+        const TAG: u32 = 0;
+        const CHECK: &'static str = "oracle.test";
+        type Snapshot = ();
+
+        fn config(&mut self) -> (GpuConfig, Option<AdaptiveParallelism>) {
+            (GpuConfig::small(), None)
+        }
+        fn lens_regions(&self) -> Vec<(&'static str, usize, usize)> {
+            Vec::new()
+        }
+        fn regrow(&mut self, capacity: usize) {
+            (self.regrow)(capacity)
+        }
+        fn step(&mut self, gpu: &mut VirtualGpu, ctx: &StepCtx) -> Result<StepReport, LaunchError> {
+            (self.step)(gpu, ctx)
+        }
+        fn markers(&self, _: u64, _: HostAction) -> Vec<TraceEvent> {
+            Vec::new()
+        }
+        fn encode(&self, _: &mut PayloadWriter) {}
+        fn decode(&self, _: &mut PayloadReader<'_>) -> Option<()> {
+            Some(())
+        }
+        fn restore(&mut self, _: (), _: u64) {}
+    }
+
+    /// Drive `step` on `gpu` under `policy`, from iteration 0.
+    fn drive(
+        gpu: &mut VirtualGpu,
+        adaptive: Option<AdaptiveParallelism>,
+        policy: &RecoveryPolicy,
+        step: impl FnMut(&mut VirtualGpu, &StepCtx) -> Result<StepReport, LaunchError>,
+    ) -> Result<DriveOutcome, DriveError> {
+        let recovery = RecoveryOpts {
+            policy: *policy,
+            ..RecoveryOpts::default()
+        };
+        drive_recovering(
+            gpu,
+            &mut Steps {
+                step,
+                regrow: |_| {},
+            },
+            adaptive,
+            &recovery,
+            0,
+        )
+    }
 
     /// A toy morph loop: each iteration "refines" by adding tid to a sum;
     /// the kernel raises `changed` until the sum crosses a threshold.
@@ -647,24 +722,19 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 55,
         };
-        let out = drive_recovering(
-            &mut gpu,
-            None,
-            &RecoveryPolicy::default(),
-            |gpu, _ctx| {
-                let stats = gpu.try_launch(&k)?;
-                let changed = k.changed.swap(false, Ordering::AcqRel);
-                Ok(StepReport {
-                    stats,
-                    action: if changed {
-                        HostAction::Continue
-                    } else {
-                        HostAction::Stop
-                    },
-                    progressed: true,
-                })
-            },
-        )
+        let out = drive(&mut gpu, None, &RecoveryPolicy::default(), |gpu, _ctx| {
+            let stats = gpu.try_launch(&k)?;
+            let changed = k.changed.swap(false, Ordering::AcqRel);
+            Ok(StepReport {
+                stats,
+                action: if changed {
+                    HostAction::Continue
+                } else {
+                    HostAction::Stop
+                },
+                progressed: true,
+            })
+        })
         .expect("no faults");
         // 10,20,30,40,50 set changed; 60 does not → 6 iterations.
         assert_eq!(out.iterations, 6);
@@ -687,27 +757,22 @@ mod tests {
             threshold: 35,
         };
         let mut repairs = 0u32;
-        let out = drive_recovering(
-            &mut gpu,
-            None,
-            &RecoveryPolicy::default(),
-            |gpu, ctx| {
-                if ctx.attempt > 0 {
-                    repairs += 1;
-                }
-                let stats = gpu.try_launch(&k)?;
-                let changed = k.changed.swap(false, Ordering::AcqRel);
-                Ok(StepReport {
-                    stats,
-                    action: if changed {
-                        HostAction::Continue
-                    } else {
-                        HostAction::Stop
-                    },
-                    progressed: true,
-                })
-            },
-        )
+        let out = drive(&mut gpu, None, &RecoveryPolicy::default(), |gpu, ctx| {
+            if ctx.attempt > 0 {
+                repairs += 1;
+            }
+            let stats = gpu.try_launch(&k)?;
+            let changed = k.changed.swap(false, Ordering::AcqRel);
+            Ok(StepReport {
+                stats,
+                action: if changed {
+                    HostAction::Continue
+                } else {
+                    HostAction::Stop
+                },
+                progressed: true,
+            })
+        })
         .expect("one retry must absorb one injected panic");
         assert_eq!(out.retries, 1);
         assert_eq!(repairs, 1, "retry attempt must be visible to the callback");
@@ -735,7 +800,7 @@ mod tests {
             max_retries: 2,
             ..RecoveryPolicy::default()
         };
-        let err = drive_recovering(&mut gpu, None, &policy, |gpu, _ctx| {
+        let err = drive(&mut gpu, None, &policy, |gpu, _ctx| {
             let stats = gpu.try_launch(&k)?;
             Ok(StepReport {
                 stats,
@@ -769,7 +834,7 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 0,
         };
-        let err = drive_recovering(
+        let err = drive(
             &mut gpu,
             None,
             &RecoveryPolicy {
@@ -805,19 +870,13 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 0,
         };
-        let mut capacity = 4usize;
+        let capacity = Cell::new(4usize);
         let mut log = Vec::new();
-        let out = drive_recovering(
-            &mut gpu,
-            None,
-            &RecoveryPolicy::default(),
-            |gpu, ctx| {
-                if let Some(cap) = ctx.regrow_to {
-                    capacity = cap;
-                }
-                log.push((ctx.iteration, capacity));
+        let mut m = Steps {
+            step: |gpu: &mut VirtualGpu, ctx: &StepCtx| {
+                log.push((ctx.iteration, capacity.get()));
                 let stats = gpu.try_launch(&k)?;
-                let action = if ctx.iteration == 1 && capacity < 16 {
+                let action = if ctx.iteration == 1 && capacity.get() < 16 {
                     HostAction::Regrow(16)
                 } else if ctx.iteration < 2 {
                     HostAction::Continue
@@ -830,8 +889,10 @@ mod tests {
                     progressed: true,
                 })
             },
-        )
-        .expect("regrow path");
+            regrow: |cap| capacity.set(cap),
+        };
+        let out = drive_recovering(&mut gpu, &mut m, None, &RecoveryOpts::default(), 0)
+            .expect("regrow path");
         assert_eq!(out.regrows, 1);
         assert_eq!(out.iterations, 3);
         // Iteration 1 ran twice: once overflowing at capacity 4, once
@@ -851,7 +912,7 @@ mod tests {
             max_regrows: 3,
             ..RecoveryPolicy::default()
         };
-        let err = drive_recovering(&mut gpu, None, &policy, |gpu, _ctx| {
+        let err = drive(&mut gpu, None, &policy, |gpu, _ctx| {
             let stats = gpu.try_launch(&k)?;
             Ok(StepReport {
                 stats,
@@ -880,7 +941,7 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         let mut ladder = Vec::new();
-        let err = drive_recovering(&mut gpu, None, &policy, |gpu, ctx| {
+        let err = drive(&mut gpu, None, &policy, |gpu, ctx| {
             ladder.push(ctx.rescue);
             let stats = gpu.try_launch(&k)?;
             Ok(StepReport {
@@ -920,7 +981,7 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         let mut geometries = Vec::new();
-        let out = drive_recovering(&mut gpu, None, &policy, |gpu, ctx| {
+        let out = drive(&mut gpu, None, &policy, |gpu, ctx| {
             let stats = gpu.try_launch(&k)?;
             geometries.push((stats.blocks, stats.threads_per_block, ctx.rescue));
             // Progress only once the driver has degraded to serial.
@@ -964,7 +1025,7 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 35,
         };
-        let out = drive_recovering(&mut gpu, None, &opts.policy, |gpu, _ctx| {
+        let out = drive(&mut gpu, None, &opts.policy, |gpu, _ctx| {
             let stats = gpu.try_launch(&k)?;
             let changed = k.changed.swap(false, Ordering::AcqRel);
             Ok(StepReport {
@@ -1028,7 +1089,7 @@ mod tests {
             max_rescues: 2,
             ..RecoveryPolicy::default()
         };
-        let _ = drive_recovering(&mut gpu, None, &policy, |gpu, _ctx| {
+        let _ = drive(&mut gpu, None, &policy, |gpu, _ctx| {
             let stats = gpu.try_launch(&k)?;
             Ok(StepReport {
                 stats,
@@ -1070,7 +1131,7 @@ mod tests {
             threshold: 0,
         };
         let mut steps = 0u64;
-        let err = drive_recovering(&mut gpu, None, &opts.policy, |gpu, _ctx| {
+        let err = drive(&mut gpu, None, &opts.policy, |gpu, _ctx| {
             steps += 1;
             if steps == 3 {
                 // Raised mid-step: the driver must still finish this step
@@ -1106,19 +1167,14 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 0,
         };
-        let err = drive_recovering(
-            &mut gpu,
-            None,
-            &RecoveryPolicy::default(),
-            |gpu, _ctx| {
-                let stats = gpu.try_launch(&k)?;
-                Ok(StepReport {
-                    stats,
-                    action: HostAction::Stop,
-                    progressed: true,
-                })
-            },
-        )
+        let err = drive(&mut gpu, None, &RecoveryPolicy::default(), |gpu, _ctx| {
+            let stats = gpu.try_launch(&k)?;
+            Ok(StepReport {
+                stats,
+                action: HostAction::Stop,
+                progressed: true,
+            })
+        })
         .expect_err("pre-cancelled token must stop the loop before launch 0");
         assert_eq!(err, DriveError::Cancelled { iteration: 0 });
         assert_eq!(k.sum.load(Ordering::Acquire), 0, "no kernel may have run");
@@ -1142,19 +1198,14 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 0,
         };
-        let _ = drive_recovering(
-            &mut gpu,
-            None,
-            &RecoveryPolicy::default(),
-            |gpu, _ctx| {
-                let stats = gpu.try_launch(&k)?;
-                Ok(StepReport {
-                    stats,
-                    action: HostAction::Stop,
-                    progressed: true,
-                })
-            },
-        );
+        let _ = drive(&mut gpu, None, &RecoveryPolicy::default(), |gpu, _ctx| {
+            let stats = gpu.try_launch(&k)?;
+            Ok(StepReport {
+                stats,
+                action: HostAction::Stop,
+                progressed: true,
+            })
+        });
         assert!(sink.events().iter().any(|e| matches!(
             e,
             TraceEvent::Recovery {
@@ -1182,7 +1233,7 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 0,
         };
-        let err = drive_recovering(&mut gpu, None, &opts.policy, |gpu, _ctx| {
+        let err = drive(&mut gpu, None, &opts.policy, |gpu, _ctx| {
             let stats = gpu.try_launch(&k)?;
             // The step overflows and asks for growth — then the owner of
             // the other token handle (a watchdog) cancels mid-regrow.
@@ -1248,7 +1299,7 @@ mod tests {
             max_rescues: 8,
             ..RecoveryPolicy::default()
         };
-        let _ = drive_recovering(&mut gpu, None, &policy, |gpu, ctx| {
+        let _ = drive(&mut gpu, None, &policy, |gpu, ctx| {
             if ctx.rescue == RescueLevel::Serial {
                 token.cancel();
             }
@@ -1283,7 +1334,7 @@ mod tests {
             changed: AtomicBool::new(false),
             threshold: 35,
         };
-        let out = drive_recovering(&mut gpu, None, &opts.policy, |gpu, _ctx| {
+        let out = drive(&mut gpu, None, &opts.policy, |gpu, _ctx| {
             let stats = gpu.try_launch(&k)?;
             let changed = k.changed.swap(false, Ordering::AcqRel);
             Ok(StepReport {
@@ -1313,7 +1364,7 @@ mod tests {
     #[test]
     fn detached_tuner_keeps_the_fixed_schedule_byte_identical() {
         // The §7.4 regression: with the tuner detached (the default),
-        // drive_recovering's geometry decisions must be exactly the fixed
+        // the driver's geometry decisions must be exactly the fixed
         // adaptive schedule — iteration for iteration.
         let sched = AdaptiveParallelism {
             initial_tpb: 2,
@@ -1329,8 +1380,11 @@ mod tests {
                 threshold: 0,
             };
             let mut seen = Vec::new();
-            drive_recovering(&mut gpu, Some(sched), &opts.policy, |gpu, ctx| {
-                assert!(ctx.tune.is_none(), "detached tuner must surface no decision");
+            drive(&mut gpu, Some(sched), &opts.policy, |gpu, ctx| {
+                assert!(
+                    ctx.tune.is_none(),
+                    "detached tuner must surface no decision"
+                );
                 let stats = gpu.try_launch(&k)?;
                 seen.push(stats.threads_per_block);
                 Ok(StepReport {
@@ -1352,7 +1406,9 @@ mod tests {
         // the same sequence: the fixed path is untouched.
         assert_eq!(
             seen,
-            (0..4).map(|i| sched.tpb_for_iteration(i)).collect::<Vec<_>>()
+            (0..4)
+                .map(|i| sched.tpb_for_iteration(i))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -1377,7 +1433,7 @@ mod tests {
             max_tpb: 64,
         };
         let mut seen = Vec::new();
-        drive_recovering(&mut gpu, Some(sched), &opts.policy, |gpu, ctx| {
+        drive(&mut gpu, Some(sched), &opts.policy, |gpu, ctx| {
             let d = ctx.tune.expect("enabled tuner must surface a decision");
             let stats = gpu.try_launch(&k)?;
             seen.push((stats.threads_per_block, d.tpb));
@@ -1425,7 +1481,7 @@ mod tests {
             threshold: 0,
         };
         let mut geometries = Vec::new();
-        let out = drive_recovering(&mut gpu, None, &opts.policy, |gpu, ctx| {
+        let out = drive(&mut gpu, None, &opts.policy, |gpu, ctx| {
             let stats = gpu.try_launch(&k)?;
             geometries.push((stats.blocks, stats.threads_per_block, ctx.rescue, ctx.tune));
             let serial = ctx.rescue == RescueLevel::Serial;
@@ -1481,9 +1537,12 @@ mod tests {
         };
         opts.arm(&mut gpu);
         let mut pinned_geometries = Vec::new();
-        drive_recovering(&mut gpu, None, &opts.policy, |gpu, ctx| {
+        drive(&mut gpu, None, &opts.policy, |gpu, ctx| {
             let stats = gpu.try_launch(&AbortStorm)?;
-            if ctx.tune.is_some_and(|d| d.policy == ConflictPolicy::SerialPin) {
+            if ctx
+                .tune
+                .is_some_and(|d| d.policy == ConflictPolicy::SerialPin)
+            {
                 pinned_geometries.push((stats.blocks, stats.threads_per_block));
             }
             Ok(StepReport {
@@ -1520,36 +1579,57 @@ mod tests {
     }
 
     #[test]
-    fn host_retry_action_counts_against_the_budget() {
-        let mut gpu = VirtualGpu::new(GpuConfig::small());
+    fn a_resumed_drive_counts_from_its_base() {
+        // A run restored after 2 completed iterations: the schedule, the
+        // outcome and errors all read absolute iterations; the launch
+        // stats count only this run's launches.
+        let sched = AdaptiveParallelism {
+            initial_tpb: 2,
+            growth_iters: 3,
+            max_tpb: 64,
+        };
         let k = ToyKernel {
             sum: AtomicU64::new(0),
             changed: AtomicBool::new(false),
             threshold: 0,
         };
-        let mut attempts_seen = Vec::new();
-        let out = drive_recovering(
-            &mut gpu,
-            None,
-            &RecoveryPolicy::default(),
-            |gpu, ctx| {
-                attempts_seen.push(ctx.attempt);
+        let mut seen = Vec::new();
+        let mut m = Steps {
+            step: |gpu: &mut VirtualGpu, ctx: &StepCtx| {
                 let stats = gpu.try_launch(&k)?;
-                let action = if ctx.attempt < 2 {
-                    HostAction::Retry
-                } else {
-                    HostAction::Stop
-                };
+                seen.push((ctx.iteration, stats.threads_per_block));
                 Ok(StepReport {
                     stats,
-                    action,
+                    action: if ctx.iteration < 4 {
+                        HostAction::Continue
+                    } else {
+                        HostAction::Stop
+                    },
                     progressed: true,
                 })
             },
-        )
-        .expect("two host retries fit the default budget");
-        assert_eq!(attempts_seen, vec![0, 1, 2]);
-        assert_eq!(out.retries, 2);
-        assert_eq!(out.iterations, 1);
+            regrow: |_| {},
+        };
+        let opts = RecoveryOpts::default();
+        let mut gpu = VirtualGpu::new(GpuConfig::small());
+        let out = drive_recovering(&mut gpu, &mut m, Some(sched), &opts, 2).expect("clean run");
+        assert_eq!((out.iterations, out.stats.iterations), (5, 3));
+
+        let mut gpu = VirtualGpu::new(GpuConfig::small());
+        gpu.set_fault_plan(Arc::new(FaultPlan::new().with_kernel_panic(1, 0, 0, 0)));
+        let killed = RecoveryOpts {
+            policy: RecoveryPolicy {
+                max_retries: 0,
+                ..RecoveryPolicy::default()
+            },
+            ..RecoveryOpts::default()
+        };
+        let err = drive_recovering(&mut gpu, &mut m, Some(sched), &killed, 2)
+            .expect_err("no retry budget");
+        assert!(
+            matches!(err, DriveError::Launch { iteration: 3, .. }),
+            "{err}"
+        );
+        assert_eq!(seen, vec![(2, 8), (3, 16), (4, 16), (2, 8)]);
     }
 }

@@ -518,7 +518,7 @@ pub fn try_refine_gpu<C: Coord>(
 ) -> Result<GpuRefineOutcome, DriveError> {
     let start = Instant::now();
     let mut m = DmrMorph::new(mesh, opts, sms);
-    let (outcome, base) = run_morph(&mut m, recovery)?;
+    let outcome = run_morph(&mut m, recovery)?;
 
     let mut stats = m.stats;
     stats.aborted = outcome.stats.aborts;
@@ -526,7 +526,7 @@ pub fn try_refine_gpu<C: Coord>(
     Ok(GpuRefineOutcome {
         stats,
         launch: outcome.stats,
-        iterations: base + outcome.iterations,
+        iterations: outcome.iterations,
         rescues: outcome.rescues as u64,
         retries: outcome.retries,
         regrows: outcome.regrows,

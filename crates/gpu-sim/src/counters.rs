@@ -163,8 +163,8 @@ pub struct LaunchStats {
     pub wall: Duration,
     /// The share of [`wall`](Self::wall) attributable to *recovery*:
     /// launch attempts beyond the first of an iteration (failed attempts
-    /// plus the successful re-run). Filled in by
-    /// `morph_core::runtime::drive_recovering`; a single clean launch
+    /// plus the successful re-run). Filled in by the host loop of
+    /// `morph_core::run_morph`; a single clean launch
     /// always reports zero. Summed by [`absorb`](Self::absorb), so
     /// `retry_wall / wall` is the recovery-overhead fraction of a run.
     pub retry_wall: Duration,

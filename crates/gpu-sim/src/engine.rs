@@ -3,7 +3,7 @@
 //! [`VirtualGpu::launch`] runs one kernel iteration: every phase once,
 //! with a software global barrier after each. The `do { … } while
 //! (changed)` loop of the paper's Figure 3 is the host's
-//! (`morph_core::runtime::drive_recovering`), one launch per trip.
+//! (`morph_core::run_morph`), one launch per trip.
 //!
 //! Scheduling model: the grid's blocks are dealt round-robin to
 //! `min(num_sms, blocks)` host workers. A worker runs phase `p` of every

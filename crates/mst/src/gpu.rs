@@ -352,12 +352,12 @@ pub fn try_mst_with_stats(
         });
     }
     let mut m = MstMorph::new(g, sms);
-    let (outcome, base) = run_morph(&mut m, recovery)?;
+    let outcome = run_morph(&mut m, recovery)?;
     Ok(GpuMstOutcome {
         result: MstResult {
             weight: m.weight.load(Ordering::Acquire),
             edges: m.edges.load(Ordering::Acquire),
-            rounds: (base + outcome.iterations) as usize,
+            rounds: outcome.iterations as usize,
         },
         launch: outcome.stats,
         retries: outcome.retries,

@@ -467,11 +467,11 @@ pub fn try_solve_with(
     recovery: &RecoveryOpts,
 ) -> Result<GpuSolveOutcome, DriveError> {
     let mut m = PtaMorph::new(prob, opts, sms);
-    let (outcome, base) = run_morph(&mut m, recovery)?;
+    let outcome = run_morph(&mut m, recovery)?;
     Ok(GpuSolveOutcome {
         solution: (0..prob.num_vars).map(|v| m.pts.row_to_vec(v)).collect(),
         launch: outcome.stats,
-        iterations: base + outcome.iterations,
+        iterations: outcome.iterations,
         edge_bytes: m.incoming.bytes_allocated(),
         retries: outcome.retries,
         regrows: outcome.regrows,

@@ -5,8 +5,8 @@
 //! metadata the scheduler needs — tenant, priority class, optional
 //! deadline, retry budget — and an optional [`FaultPlan`] for chaos runs.
 //! Running a job is pure with respect to the pool: [`Workload::run`]
-//! builds its input from the seed, drives the pipeline through
-//! `drive_recovering` via the pipeline's `try_*` entry point, and maps the
+//! builds its input from the seed, drives the pipeline's `try_*` entry
+//! point (its host loop is `morph_core::run_morph`), and maps the
 //! outcome into [`JobMetrics`]. Failure classification ([`classify`])
 //! decides retryable vs. permanent, which the executor turns into
 //! requeue-or-fail.

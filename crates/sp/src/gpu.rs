@@ -271,7 +271,7 @@ pub fn try_propagate(
     recovery: &RecoveryOpts,
 ) -> Result<(usize, LaunchStats), DriveError> {
     let mut m = SpMorph::new(fg, s, eps, max_sweeps, sms);
-    let (outcome, _) = run_morph(&mut m, recovery)?;
+    let outcome = run_morph(&mut m, recovery)?;
     Ok((m.sweeps, outcome.stats))
 }
 

@@ -130,13 +130,12 @@ impl Serialize for CountersSnapshot {
     }
 }
 
-/// What the recovering driver decided (see
-/// `morph_core::runtime::drive_recovering`). Stringly-typed `detail`
-/// carries the human-readable error for retries/failures.
+/// What the recovering host loop decided (see `morph_core::run_morph`).
+/// Stringly-typed `detail` carries the human-readable error for
+/// retries/failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryKind {
-    /// A launch attempt failed (or the host demanded a re-run) and the
-    /// same iteration will run again.
+    /// A launch attempt failed and the same iteration will run again.
     Retry,
     /// Device pools overflowed; capacity grows to `capacity` and the
     /// iteration re-runs.
@@ -328,7 +327,7 @@ pub enum TraceEvent {
         wall_us: u64,
         totals: CountersSnapshot,
     },
-    /// A `drive_recovering` decision (retry / regrow / rescue ladder /
+    /// A recovering host-loop decision (retry / regrow / rescue ladder /
     /// give-up). `iteration`/`attempt` locate it in the host loop;
     /// `capacity` is the regrow target (0 otherwise).
     Recovery {

@@ -141,7 +141,7 @@ pub struct TuneDecision {
     pub tpb: usize,
     /// Conflict policy for the next iteration. [`ConflictPolicy::SerialPin`]
     /// makes the driver run a 1×1 grid (unless a recovery rescue is
-    /// already pinned — rescue always wins, see `drive_recovering`).
+    /// already pinned — rescue always wins, see `morph_core::run_morph`).
     pub policy: ConflictPolicy,
     /// Request host-side work compaction (§7.6) before the next launch.
     pub compact: bool,
@@ -149,7 +149,7 @@ pub struct TuneDecision {
     pub reorder: bool,
 }
 
-/// The per-run feedback controller: one per `drive_recovering` session.
+/// The per-run feedback controller: one per `morph_core::run_morph` run.
 #[derive(Clone, Debug)]
 pub struct Controller {
     cfg: TuneConfig,

@@ -5,14 +5,14 @@
 //! regrows, and livelock by the rescue ladder, all without corrupting the
 //! morph data structures the failed launch touched.
 
-use morphgpu::core::runtime::{
-    drive_recovering, HostAction, RecoveryOpts, RecoveryPolicy, StepReport,
-};
+use morphgpu::core::runtime::{HostAction, RecoveryOpts, RecoveryPolicy, StepCtx, StepReport};
+use morphgpu::core::{run_morph, AdaptiveParallelism, Morph, PayloadReader, PayloadWriter};
 use morphgpu::dmr::{self, DmrOpts};
 use morphgpu::gpu_sim::{
-    BarrierKind, FaultPlan, GpuConfig, Kernel, MetricsHub, MetricsRegistry, ThreadCtx,
-    VirtualGpu,
+    BarrierKind, FaultPlan, GpuConfig, Kernel, LaunchError, MetricsHub, MetricsRegistry,
+    ThreadCtx, VirtualGpu,
 };
+use morphgpu::trace::TraceEvent;
 use morphgpu::metrics::SampleValue;
 use morphgpu::sp::{self, FactorGraph};
 use morphgpu::workloads;
@@ -145,22 +145,28 @@ impl Kernel for NeedsSerial {
     }
 }
 
-#[test]
-fn livelock_escalates_to_serial_and_completes() {
-    let mut gpu = VirtualGpu::new(GpuConfig {
-        num_sms: 2,
-        warp_size: 32,
-        blocks: 4,
-        threads_per_block: 8,
-        barrier: BarrierKind::SenseReversing,
-    });
-    let policy = RecoveryPolicy {
-        livelock_patience: 2,
-        ..RecoveryPolicy::default()
-    };
-    let outcome = drive_recovering(&mut gpu, None, &policy, |gpu, _ctx| {
+/// A pipeline around [`NeedsSerial`] on `config`: a step progresses, and
+/// the run stops, only on a 1×1 grid — and never without `serial_progress`.
+struct Livelocked {
+    config: GpuConfig,
+    serial_progress: bool,
+}
+
+impl Morph for Livelocked {
+    const ALGO: &'static str = "livelocked";
+    const TAG: u32 = 0;
+    const CHECK: &'static str = "oracle.livelocked";
+    type Snapshot = ();
+
+    fn config(&mut self) -> (GpuConfig, Option<AdaptiveParallelism>) {
+        (self.config.clone(), None)
+    }
+    fn lens_regions(&self) -> Vec<(&'static str, usize, usize)> {
+        Vec::new()
+    }
+    fn step(&mut self, gpu: &mut VirtualGpu, _ctx: &StepCtx) -> Result<StepReport, LaunchError> {
         let stats = gpu.try_launch(&NeedsSerial)?;
-        let serial = stats.blocks == 1 && stats.threads_per_block == 1;
+        let serial = self.serial_progress && stats.blocks == 1 && stats.threads_per_block == 1;
         Ok(StepReport {
             stats,
             action: if serial {
@@ -170,8 +176,38 @@ fn livelock_escalates_to_serial_and_completes() {
             },
             progressed: serial,
         })
-    })
-    .expect("the ladder must reach the serial fallback before the rescue budget");
+    }
+    fn markers(&self, _: u64, _: HostAction) -> Vec<TraceEvent> {
+        Vec::new()
+    }
+    fn encode(&self, _: &mut PayloadWriter) {}
+    fn decode(&self, _: &mut PayloadReader<'_>) -> Option<()> {
+        Some(())
+    }
+    fn restore(&mut self, _: (), _: u64) {}
+}
+
+#[test]
+fn livelock_escalates_to_serial_and_completes() {
+    let mut m = Livelocked {
+        config: GpuConfig {
+            num_sms: 2,
+            warp_size: 32,
+            blocks: 4,
+            threads_per_block: 8,
+            barrier: BarrierKind::SenseReversing,
+        },
+        serial_progress: true,
+    };
+    let recovery = RecoveryOpts {
+        policy: RecoveryPolicy {
+            livelock_patience: 2,
+            ..RecoveryPolicy::default()
+        },
+        ..RecoveryOpts::default()
+    };
+    let outcome = run_morph(&mut m, &recovery)
+        .expect("the ladder must reach the serial fallback before the rescue budget");
     // None → Reshuffle → Serial costs two escalations.
     assert_eq!(outcome.rescues, 2);
     assert_eq!(outcome.stats.threads_per_block, 1);
@@ -180,27 +216,26 @@ fn livelock_escalates_to_serial_and_completes() {
 #[test]
 fn rescue_budget_exhaustion_is_a_structured_error() {
     use morphgpu::core::runtime::DriveError;
-    let mut gpu = VirtualGpu::new(GpuConfig {
-        num_sms: 2,
-        warp_size: 32,
-        blocks: 2,
-        threads_per_block: 4,
-        barrier: BarrierKind::SenseReversing,
-    });
-    let policy = RecoveryPolicy {
-        livelock_patience: 1,
-        max_rescues: 3,
-        ..RecoveryPolicy::default()
+    let mut m = Livelocked {
+        config: GpuConfig {
+            num_sms: 2,
+            warp_size: 32,
+            blocks: 2,
+            threads_per_block: 4,
+            barrier: BarrierKind::SenseReversing,
+        },
+        serial_progress: false, // never progresses, even serially
     };
-    let err = drive_recovering(&mut gpu, None, &policy, |gpu, _ctx| {
-        let stats = gpu.try_launch(&NeedsSerial)?;
-        Ok(StepReport {
-            stats,
-            action: HostAction::Continue,
-            progressed: false, // never progresses, even serially
-        })
-    })
-    .expect_err("a kernel that never progresses must be reported as livelock");
+    let recovery = RecoveryOpts {
+        policy: RecoveryPolicy {
+            livelock_patience: 1,
+            max_rescues: 3,
+            ..RecoveryPolicy::default()
+        },
+        ..RecoveryOpts::default()
+    };
+    let err = run_morph(&mut m, &recovery)
+        .expect_err("a kernel that never progresses must be reported as livelock");
     // The count includes the escalation that broke the budget.
     assert!(matches!(err, DriveError::Livelock { rescues: 4, .. }), "{err}");
 }

@@ -11,10 +11,14 @@
 //! - per step, the trace reads launch events, then algorithm markers, then
 //!   the checkpoint;
 //! - the SP and MST payload bytes after iteration 1 are pinned, so the
-//!   wire format a stored checkpoint depends on cannot drift.
+//!   wire format a stored checkpoint depends on cannot drift;
+//! - a run killed at any launch, resumed, killed again and resumed reaches
+//!   the uninterrupted end state; each resumed stage launches at the §7.4
+//!   tpb of its absolute iteration, and a killed stage reports its
+//!   absolute iteration.
 
-use morphgpu::core::runtime::{RecoveryOpts, RecoveryPolicy};
-use morphgpu::core::{crc32, CheckpointCtl, CheckpointStore};
+use morphgpu::core::runtime::{DriveError, RecoveryOpts, RecoveryPolicy};
+use morphgpu::core::{crc32, AdaptiveParallelism, CheckpointCtl, CheckpointStore};
 use morphgpu::dmr::{self, DmrOpts};
 use morphgpu::gpu_sim::FaultPlan;
 use morphgpu::sp::surveys::Surveys;
@@ -29,19 +33,21 @@ use std::sync::Arc;
 const JOB: u64 = 1;
 
 /// Options for one stage of a multi-stage run on a shared store: with
-/// `kill`, the stage dies at its launch 2 with no retry budget.
-fn stage(store: &Arc<CheckpointStore>, kill: bool, tracer: Tracer) -> RecoveryOpts {
+/// `kill_at`, the stage dies at that launch with no retry budget.
+fn stage(store: &Arc<CheckpointStore>, kill_at: Option<u64>, tracer: Tracer) -> RecoveryOpts {
     let mut opts = RecoveryOpts {
         checkpoint: Some(CheckpointCtl::new(Arc::clone(store), JOB).every(1)),
         tracer,
         ..RecoveryOpts::default()
     };
-    if kill {
+    if let Some(launch) = kill_at {
         opts.policy = RecoveryPolicy {
             max_retries: 0,
             ..RecoveryPolicy::default()
         };
-        opts.fault_plan = Some(Arc::new(FaultPlan::new().with_kernel_panic(2, 0, 0, 0)));
+        opts.fault_plan = Some(Arc::new(
+            FaultPlan::new().with_kernel_panic(launch, 0, 0, 0),
+        ));
     }
     opts
 }
@@ -59,7 +65,7 @@ fn three_stages(mut run: impl FnMut(RecoveryOpts) -> bool) {
     let store = Arc::new(CheckpointStore::in_memory());
     let mut seen = Vec::new();
     for kill in [true, true, false] {
-        let ok = run(stage(&store, kill, Tracer::default()));
+        let ok = run(stage(&store, kill.then_some(2), Tracer::default()));
         assert_eq!(ok, !kill, "a killed stage fails, the last one completes");
         seen.push(stored(&store));
     }
@@ -140,13 +146,12 @@ fn a_resumed_run_profiles_absolute_iterations() {
     let fg = FactorGraph::new(&f);
     let surveys = Surveys::init(&fg, 5);
     let store = Arc::new(CheckpointStore::in_memory());
-    let mut killed = stage(&store, true, Tracer::default());
-    killed.fault_plan = Some(Arc::new(FaultPlan::new().with_kernel_panic(4, 0, 0, 0)));
+    let killed = stage(&store, Some(4), Tracer::default());
     sp::gpu::try_propagate(&fg, &surveys, 1e-3, 300, 2, &killed).unwrap_err();
     assert_eq!(stored(&store), (3, 4), "iterations 0..=3 completed");
 
     let profiler = Arc::new(PhaseProfiler::new());
-    let mut resumed = stage(&store, false, Tracer::default());
+    let mut resumed = stage(&store, None, Tracer::default());
     resumed.profiler = Some(ProfilerScope::new(Arc::clone(&profiler), "sp"));
     sp::gpu::try_propagate(&fg, &surveys, 1e-3, 300, 2, &resumed).unwrap();
     let folded = profiler.to_folded();
@@ -170,7 +175,7 @@ fn traced() -> (Arc<RingSink>, Tracer) {
 fn dmr_never_checkpoints_a_regrow_step() {
     let store = Arc::new(CheckpointStore::in_memory());
     let (sink, tracer) = traced();
-    let mut opts = stage(&store, false, tracer);
+    let mut opts = stage(&store, None, tracer);
     opts.fault_plan = Some(Arc::new(FaultPlan::new().with_alloc_denial(1, 1)));
     let mut mesh = workloads::mesh::random_mesh::<f64>(2000, 7);
     dmr::gpu::try_refine_gpu(&mut mesh, DmrOpts::default(), 2, &opts).expect("denial regrows");
@@ -254,7 +259,7 @@ fn every_pipeline_emits_launch_then_markers_then_checkpoint() {
         1e-3,
         300,
         2,
-        &stage(&store, false, tracer),
+        &stage(&store, None, tracer),
     )
     .unwrap();
     assert_step_order("sp", &sink.events());
@@ -262,7 +267,7 @@ fn every_pipeline_emits_launch_then_markers_then_checkpoint() {
 
     let g = workloads::graphs::random_graph(3000, 3000, 9);
     let (sink, tracer) = traced();
-    mst::gpu::try_mst_with_stats(&g, 2, &stage(&store, false, tracer)).unwrap();
+    mst::gpu::try_mst_with_stats(&g, 2, &stage(&store, None, tracer)).unwrap();
     assert_step_order("mst", &sink.events());
     store.discard(JOB);
 
@@ -272,7 +277,7 @@ fn every_pipeline_emits_launch_then_markers_then_checkpoint() {
         &prob,
         pta::gpu::PtaOpts::default(),
         2,
-        &stage(&store, false, tracer),
+        &stage(&store, None, tracer),
     )
     .unwrap();
     assert_step_order("pta", &sink.events());
@@ -284,7 +289,7 @@ fn every_pipeline_emits_launch_then_markers_then_checkpoint() {
         &mut mesh,
         DmrOpts::default(),
         2,
-        &stage(&store, false, tracer),
+        &stage(&store, None, tracer),
     )
     .unwrap();
     assert_step_order("dmr", &sink.events());
@@ -294,7 +299,7 @@ fn every_pipeline_emits_launch_then_markers_then_checkpoint() {
 /// killed at launch 2).
 fn pinned_payload(run: impl FnOnce(RecoveryOpts)) -> (usize, u32) {
     let store = Arc::new(CheckpointStore::in_memory());
-    run(stage(&store, true, Tracer::default()));
+    run(stage(&store, Some(2), Tracer::default()));
     let ck = store
         .load(JOB)
         .expect("iterations 0 and 1 were checkpointed");
@@ -316,4 +321,114 @@ fn sp_and_mst_payload_bytes_are_pinned() {
         mst::gpu::try_mst_with_stats(&g, 2, &opts).unwrap_err();
     });
     assert_eq!(mst_pin, (836, 127737769), "mst payload after iteration 1");
+}
+
+/// The completed-iteration count of the stored checkpoint (0 without one).
+fn completed(store: &CheckpointStore) -> u64 {
+    store.load(JOB).map_or(0, |_| stored(store).1)
+}
+
+/// For every launch `k` of an uninterrupted run: kill a run at `k`, resume
+/// it and kill it again at its launch 1, then resume it to the end. Every
+/// stage that completes must pass `check`; every resumed stage's first
+/// launch must run at `tpb_at(absolute iteration)`; every killed stage's
+/// `DriveError` iteration must be the absolute iteration it died in, which
+/// is the completed count its last checkpoint stored.
+fn crash_point_sweep<T>(
+    algo: &str,
+    tpb_at: impl Fn(u64) -> usize,
+    mut run: impl FnMut(&RecoveryOpts) -> Result<T, DriveError>,
+    check: impl Fn(&T),
+) {
+    let (sink, tracer) = traced();
+    let clean = run(&RecoveryOpts {
+        tracer,
+        ..RecoveryOpts::default()
+    });
+    check(&clean.unwrap_or_else(|e| panic!("{algo}: {e}")));
+    let launches = sink
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::LaunchBegin { .. }))
+        .count() as u64;
+    assert!(launches > 3, "{algo}: {launches} launches");
+
+    for k in 0..launches {
+        let store = Arc::new(CheckpointStore::in_memory());
+        for (i, kill_at) in [Some(k), Some(1), None].into_iter().enumerate() {
+            let base = completed(&store);
+            let (sink, tracer) = traced();
+            let result = run(&stage(&store, kill_at, tracer));
+            let first_tpb = sink.events().iter().find_map(|e| match e {
+                TraceEvent::LaunchBegin {
+                    threads_per_block, ..
+                } => Some(*threads_per_block as usize),
+                _ => None,
+            });
+            let at = format!("{algo}: killed at {k}, stage {i}, base {base}");
+            if i > 0 {
+                assert_eq!(first_tpb, Some(tpb_at(base)), "{at}: first launch tpb");
+            }
+            match result {
+                Ok(end) => {
+                    check(&end);
+                    break;
+                }
+                Err(DriveError::Launch { iteration, .. }) if kill_at.is_some() => {
+                    assert_eq!(iteration, completed(&store), "{at}: killed iteration");
+                }
+                Err(e) => panic!("{at}: {e}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn every_crash_point_resumes_to_the_uninterrupted_end_state() {
+    let f = workloads::ksat::random_ksat(60, 240, 3, 4);
+    let fg = FactorGraph::new(&f);
+    let sp_run = |opts: &RecoveryOpts| {
+        let s = Surveys::init(&fg, 3);
+        let (sweeps, _) = sp::gpu::try_propagate(&fg, &s, 1e-3, 100, 2, opts)?;
+        let bits: Vec<u64> = (0..fg.num_edge_slots())
+            .map(|e| s.get(e).to_bits())
+            .collect();
+        Ok((sweeps, bits))
+    };
+    let sp_clean = sp_run(&RecoveryOpts::default()).unwrap();
+    crash_point_sweep("sp", |_| 32, sp_run, |end| assert_eq!(*end, sp_clean));
+
+    let g = workloads::graphs::random_graph(200, 400, 3);
+    let want = mst::kruskal::mst(&g);
+    let mst_run = |opts: &RecoveryOpts| {
+        let r = mst::gpu::try_mst_with_stats(&g, 2, opts)?.result;
+        Ok((r.weight, r.edges, r.rounds))
+    };
+    let mst_clean = mst_run(&RecoveryOpts::default()).unwrap();
+    assert_eq!((mst_clean.0, mst_clean.1), (want.weight, want.edges));
+    crash_point_sweep("mst", |_| 64, mst_run, |end| assert_eq!(*end, mst_clean));
+
+    let prob = workloads::pta::synthetic(60, 220, 5);
+    let want = pta::serial::solve(&prob);
+    crash_point_sweep(
+        "pta",
+        |i| AdaptiveParallelism::pta().tpb_for_iteration(i),
+        |opts| pta::gpu::try_solve_with(&prob, pta::gpu::PtaOpts::default(), 2, opts),
+        |end| assert_eq!(end.solution, want),
+    );
+
+    crash_point_sweep(
+        "dmr",
+        |i| AdaptiveParallelism::dmr().tpb_for_iteration(i),
+        |opts| {
+            // Only the checkpoint carries over: each stage starts from a
+            // fresh copy of the problem.
+            let mut mesh = workloads::mesh::random_mesh::<f64>(300, 7);
+            dmr::gpu::try_refine_gpu(&mut mesh, DmrOpts::default(), 2, opts).map(|_| mesh)
+        },
+        |mesh| {
+            assert_eq!(mesh.stats().bad, 0);
+            mesh.validate(true).unwrap_or_else(|e| panic!("{e}"));
+        },
+    );
 }
